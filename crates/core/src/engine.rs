@@ -1066,8 +1066,9 @@ pub struct SignalLevelEngine {
     sample: u64,
     faults: FaultProgram,
     plant: CavityPlant,
-    /// Period-guard verdicts: detector-period updates admitted vs rejected
-    /// as transient mis-measurements (exported via `sample_telemetry`).
+    /// Period-guard verdicts, one per new period measurement: admitted to
+    /// the detector vs rejected as a transient mis-measurement (exported
+    /// via `sample_telemetry`).
     period_admitted: u64,
     period_rejected: u64,
 }
@@ -1088,10 +1089,10 @@ impl SignalLevelEngine {
             crate::framework::SimulatorFramework::new(s.framework_config(), s.kernel_params()?);
         let period_samples = sample_rate / s.f_rev;
         let detector = PhaseDetector::with_zc_threshold(
-            fw.config.pulse_amplitude * 0.25,
+            fw.config().pulse_amplitude * 0.25,
             f64::from(s.harmonic()),
             period_samples,
-            fw.config.zc_threshold,
+            fw.config().zc_threshold,
         );
         Ok(Self {
             bench,
@@ -1110,6 +1111,22 @@ impl SignalLevelEngine {
     /// The underlying framework (inspection: records, kernel statics, …).
     pub fn framework(&self) -> &crate::framework::SimulatorFramework {
         &self.fw
+    }
+
+    /// Hand a new period measurement to the detector, guarded against
+    /// transient mis-measurements under heavy noise. The measured period
+    /// only changes here, so between measurements the detector keeps the
+    /// last admitted value.
+    fn track_period(&mut self) {
+        if let Some(p) = self.fw.measured_period() {
+            let samples = p * self.sample_rate;
+            if samples > self.period_samples * 0.5 && samples < self.period_samples * 2.0 {
+                self.period_admitted += 1;
+                self.detector.set_period_samples(samples);
+            } else {
+                self.period_rejected += 1;
+            }
+        }
     }
 }
 
@@ -1146,15 +1163,8 @@ impl BeamEngine for SignalLevelEngine {
             let (v_ref, v_gap) = self.bench.tick();
             let out = self.fw.push_sample(v_ref, v_gap);
             self.sample += 1;
-            if let Some(p) = self.fw.measured_period() {
-                let samples = p * self.sample_rate;
-                // Guard against transient mis-measurements under heavy noise.
-                if samples > self.period_samples * 0.5 && samples < self.period_samples * 2.0 {
-                    self.period_admitted += 1;
-                    self.detector.set_period_samples(samples);
-                } else {
-                    self.period_rejected += 1;
-                }
+            if out.period_updated {
+                self.track_period();
             }
             if let Some(m) = self.detector.push(v_ref, out.beam) {
                 phase_out[0] = m.phase_deg;

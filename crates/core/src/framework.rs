@@ -120,6 +120,9 @@ pub struct FrameworkOutput {
     pub beam: f64,
     /// DAC channel 2: the monitoring signal.
     pub monitor: f64,
+    /// This sample completed a period measurement: the value
+    /// [`SimulatorFramework::measured_period`] reports has just been updated.
+    pub period_updated: bool,
 }
 
 /// The SpartanMC-style parameter interface: a tiny register map through
@@ -137,8 +140,9 @@ pub mod params {
 
 /// The simulator framework.
 pub struct SimulatorFramework {
-    /// Active configuration.
-    pub config: FrameworkConfig,
+    /// Active configuration; runtime changes go through
+    /// [`Self::write_param`], which keeps the cached monitor output in step.
+    config: FrameworkConfig,
     compiled: Arc<CompiledKernel>,
     executor: CgraExecutor,
     ref_buffer: CaptureRingBuffer,
@@ -157,6 +161,9 @@ pub struct SimulatorFramework {
     last_dt: Vec<f64>,
     /// Monitoring value written by the kernel, if any.
     monitor_value: f64,
+    /// Phase-difference monitor output (DAC-quantised `last_dt[0]` ×
+    /// monitor scale); its inputs change once per kernel run at most.
+    monitor_out: f64,
     /// Initialisation done (first kernel run used as pipeline warm-up).
     warmed_up: bool,
     /// DRAM recording.
@@ -197,7 +204,7 @@ impl SimulatorFramework {
                 ),
             })
             .collect();
-        Self {
+        let mut fw = Self {
             ref_buffer: CaptureRingBuffer::new(config.buffer_depth),
             gap_buffer: CaptureRingBuffer::new(config.buffer_depth),
             period: PeriodLengthDetector::new(config.period_avg, config.zc_threshold),
@@ -207,6 +214,7 @@ impl SimulatorFramework {
             prev_crossing_sample: None,
             last_dt: vec![0.0; config.bunches],
             monitor_value: 0.0,
+            monitor_out: 0.0,
             warmed_up: false,
             records: Vec::new(),
             recording: true,
@@ -216,7 +224,14 @@ impl SimulatorFramework {
             compiled,
             executor,
             config,
-        }
+        };
+        fw.refresh_monitor();
+        fw
+    }
+
+    /// The active configuration.
+    pub fn config(&self) -> &FrameworkConfig {
+        &self.config
     }
 
     /// Parameter-interface write (the SpartanMC register map).
@@ -239,6 +254,14 @@ impl SimulatorFramework {
             params::REG_RECORD_ENABLE => self.recording = value != 0.0,
             _ => {} // unknown registers ignore writes, like real MMIO
         }
+        self.refresh_monitor();
+    }
+
+    fn refresh_monitor(&mut self) {
+        self.monitor_out = self
+            .config
+            .dac
+            .quantize_volts(self.last_dt[0] * self.config.monitor_scale);
     }
 
     /// Set (or clear) the ADC fault applied to both channel codes — the
@@ -273,8 +296,8 @@ impl SimulatorFramework {
         self.gap_buffer.push(gap_q);
 
         // Reference-side detectors.
-        let crossed = self.period.push(ref_q).is_some();
-        if crossed && self.period.warmed_up() {
+        let period_updated = self.period.push(ref_q).is_some();
+        if period_updated && self.period.warmed_up() {
             // Integer sample index of the crossing (hardware addressing).
             // Rounding — not flooring — the refined crossing time keeps the
             // addressing bias zero-mean; a systematic half-sample offset
@@ -287,25 +310,32 @@ impl SimulatorFramework {
                 self.prev_crossing_sample = self.last_crossing_sample.replace(crossing);
                 if let Some(prev) = self.prev_crossing_sample {
                     self.run_kernel(crossing, prev);
+                    self.refresh_monitor();
                 }
             }
         }
 
-        // Outputs.
+        // Outputs. Between pulses (most samples) the sum is zero, which the
+        // DAC reproduces exactly as +0.0.
         let mut beam = 0.0;
         for p in &mut self.pulses {
             beam += p.tick();
         }
-        let beam = self.config.dac.quantize_volts(beam);
+        let beam = if beam == 0.0 {
+            0.0
+        } else {
+            self.config.dac.quantize_volts(beam)
+        };
         let monitor = match self.config.monitor_mode {
-            MonitorMode::PhaseDifference => self
-                .config
-                .dac
-                .quantize_volts(self.last_dt[0] * self.config.monitor_scale),
+            MonitorMode::PhaseDifference => self.monitor_out,
             MonitorMode::MirrorBeam => beam,
         };
         self.sample += 1;
-        FrameworkOutput { beam, monitor }
+        FrameworkOutput {
+            beam,
+            monitor,
+            period_updated,
+        }
     }
 
     fn run_kernel(&mut self, crossing: u64, prev_crossing: u64) {
@@ -491,6 +521,7 @@ impl SimulatorFramework {
         self.revolutions = state.revolutions;
         self.adc_rng = StdRng::from_state(state.adc_rng);
         self.adc_fault = state.adc_fault;
+        self.refresh_monitor();
         true
     }
 

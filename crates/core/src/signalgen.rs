@@ -46,6 +46,18 @@ impl PhaseJumpProgram {
         }
     }
 
+    /// Index of the toggle interval in effect at time `t` — the quantity
+    /// [`Self::offset_deg_at`] takes the parity of, computed the same way
+    /// (`None` before the optical path delivers). Monotone in `t`, so a
+    /// sample-clocked consumer can locate the next change by bisection.
+    fn interval_index_at(&self, t: f64) -> Option<u64> {
+        let t_eff = t - self.path_latency_s;
+        if t_eff < 0.0 {
+            return None;
+        }
+        Some((t_eff / self.interval_s) as u64)
+    }
+
     /// Time of the next toggle edge strictly after `t`.
     pub fn next_toggle_after(&self, t: f64) -> f64 {
         let t_eff = (t - self.path_latency_s).max(0.0);
@@ -63,12 +75,18 @@ pub struct SignalBench {
     pub reference: Dds,
     /// Gap DDS (receives jumps and control action).
     pub gap: Dds,
-    /// The AWG jump program.
-    pub jumps: PhaseJumpProgram,
+    /// The AWG jump program (fixed at construction: the edge schedule
+    /// below is derived from it).
+    jumps: PhaseJumpProgram,
     /// Harmonic number h.
     pub harmonic: u32,
     sample_rate: f64,
     sample: u64,
+    /// Next sample at which the jump program must be evaluated: the first
+    /// sample whose toggle interval differs from the last evaluated one
+    /// (`u64::MAX` = never). Between edges the offset cannot change, so the
+    /// per-sample path is one compare.
+    jump_edge: u64,
     /// Currently applied jump offset (deg) so that toggles are edges.
     applied_jump_deg: f64,
     /// Controller frequency trim currently applied to the gap DDS, Hz.
@@ -109,6 +127,7 @@ impl SignalBench {
             harmonic,
             sample_rate,
             sample: 0,
+            jump_edge: 0,
             applied_jump_deg: 0.0,
             ctrl_freq_offset: 0.0,
             base_gap_freq: f_gap,
@@ -155,16 +174,62 @@ impl SignalBench {
     }
 
     /// Produce the next (reference, gap) sample pair.
+    #[inline]
     pub fn tick(&mut self) -> (f64, f64) {
-        let t = self.sample as f64 / self.sample_rate;
+        if self.sample >= self.jump_edge {
+            self.apply_jump_program();
+        }
         self.sample += 1;
-        // Edge-apply jump program changes.
-        let want = self.jumps.offset_deg_at(t);
+        (self.reference.tick(), self.gap.tick())
+    }
+
+    /// Edge-apply the jump program at the current sample and schedule the
+    /// next evaluation. Evaluating at any sample is idempotent, so an early
+    /// evaluation (construction, restore) is always safe.
+    #[cold]
+    fn apply_jump_program(&mut self) {
+        let want = self
+            .jumps
+            .offset_deg_at(self.sample as f64 / self.sample_rate);
         if want != self.applied_jump_deg {
             self.gap.jump_phase_deg(want - self.applied_jump_deg);
             self.applied_jump_deg = want;
         }
-        (self.reference.tick(), self.gap.tick())
+        self.jump_edge = self.next_jump_edge(self.sample);
+    }
+
+    /// The first sample after `n` whose toggle interval differs from `n`'s,
+    /// or `u64::MAX` if there is none. The interval index is monotone in
+    /// the sample index (every step of its computation is), so "changed
+    /// since `n`" is false up to the edge and true from it on: gallop ahead
+    /// to a changed sample, then bisect back to the first one. About
+    /// 2·log2(interval in samples) probes per edge.
+    fn next_jump_edge(&self, n: u64) -> u64 {
+        let index_at = |k: u64| self.jumps.interval_index_at(k as f64 / self.sample_rate);
+        let here = index_at(n);
+        // `lo` has not changed, `hi` has.
+        let mut lo = n;
+        let mut step = 1u64;
+        let mut hi = loop {
+            let k = lo.saturating_add(step);
+            if index_at(k) != here {
+                break k;
+            }
+            if k == u64::MAX {
+                return u64::MAX;
+            }
+            lo = k;
+            step = step.saturating_mul(2);
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if index_at(mid) != here {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
     }
 
     /// Current bench time, seconds.
@@ -200,6 +265,8 @@ impl SignalBench {
         self.reference.restore(&state.reference);
         self.gap.restore(&state.gap);
         self.sample = state.sample;
+        // Re-derive the edge schedule: evaluate on the next tick.
+        self.jump_edge = state.sample;
         self.applied_jump_deg = state.applied_jump_deg;
         self.ctrl_freq_offset = state.ctrl_freq_offset;
         self.cavity_scale = state.cavity_scale;

@@ -6,7 +6,7 @@
 //! (Section IV-B). This model is a classic phase-accumulator + sine-LUT DDS
 //! with run-time frequency/phase control and synchronised reset.
 
-use crate::fixed::PhaseAccumulator;
+use crate::fixed::{pow2, PhaseAccumulator};
 
 /// A direct digital synthesiser producing one sample per clock tick.
 #[derive(Debug, Clone)]
@@ -100,12 +100,16 @@ impl Dds {
             return 0.0;
         }
         let phase = self.accumulator.tick();
-        let idx_f = phase * (1u64 << self.lut_bits) as f64;
-        let idx = idx_f as usize & ((1usize << self.lut_bits) - 1);
+        let idx_f = phase * pow2(self.lut_bits as i32);
+        // `idx_f` lies in [0, 2^lut_bits], so truncation is the floor (and
+        // the signed conversions are exact and cheaper than unsigned ones).
+        let whole = idx_f as i64;
+        let mask = self.lut.len() - 1;
+        let idx = whole as usize & mask;
         // Linear interpolation between adjacent LUT entries keeps spurs far
         // below the 14-bit ADC floor.
-        let next = (idx + 1) & ((1usize << self.lut_bits) - 1);
-        let frac = idx_f - idx_f.floor();
+        let next = (idx + 1) & mask;
+        let frac = idx_f - whole as f64;
         self.amplitude * (self.lut[idx] * (1.0 - frac) + self.lut[next] * frac)
     }
 

@@ -5,24 +5,50 @@
 //! quantisation and wrap-around arithmetic of that world, with explicit
 //! saturation semantics matching real converter front-ends.
 
+/// `2^exp` as an `f64`, built from its bit pattern (`exp` in the normal
+/// range `-1022..=1023`).
+///
+/// Multiplying by `pow2(-k)` is bit-identical to dividing by `2^k`: both are
+/// one correctly rounded operation on the same exact real value, so the
+/// results agree everywhere — including overflow, underflow and NaN. The
+/// per-sample converter and DDS paths scale this way instead of dividing.
+#[inline]
+pub fn pow2(exp: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&exp));
+    f64::from_bits(((exp + 1023) as u64) << 52)
+}
+
+/// `x.round() as i64` (round half away from zero) by truncation and
+/// correction, for `|x| < 2^63` and NaN (→ 0). `f64::round` is a libm call
+/// on the baseline x86-64 target (no SSE4.1 `roundsd`); the truncating
+/// conversion is one instruction, and `x - trunc(x)` is exact.
+#[inline]
+fn round_half_away(x: f64) -> i64 {
+    let whole = x as i64;
+    let frac = x - whole as f64;
+    whole + i64::from(frac >= 0.5) - i64::from(frac <= -0.5)
+}
+
 /// Quantise a real value in `[-full_scale, +full_scale)` to a signed code of
 /// `bits` bits, saturating at the rails (converter-style clipping).
+///
+/// Rounds half away from zero. Clamping to the (integer) rails before
+/// rounding is the same as clamping the rounded code, because rounding is
+/// monotone and fixes integers.
 #[inline]
 pub fn quantize(value: f64, full_scale: f64, bits: u32) -> i32 {
     debug_assert!((2..=31).contains(&bits));
     debug_assert!(full_scale > 0.0);
-    let max_code = (1i64 << (bits - 1)) - 1;
-    let min_code = -(1i64 << (bits - 1));
-    let scaled = (value / full_scale * (max_code as f64 + 1.0)).round() as i64;
-    scaled.clamp(min_code, max_code) as i32
+    let half_range = pow2(bits as i32 - 1);
+    let scaled = (value / full_scale * half_range).clamp(-half_range, half_range - 1.0);
+    round_half_away(scaled) as i32
 }
 
 /// Reconstruct a real value from a signed `bits`-bit code (ideal DAC).
 #[inline]
 pub fn dequantize(code: i32, full_scale: f64, bits: u32) -> f64 {
     debug_assert!((2..=31).contains(&bits));
-    let denom = (1i64 << (bits - 1)) as f64;
-    f64::from(code) / denom * full_scale
+    f64::from(code) * pow2(1 - bits as i32) * full_scale
 }
 
 /// One LSB of a `bits`-bit converter with the given full scale.
@@ -74,7 +100,9 @@ impl PhaseAccumulator {
     /// Advance one clock; returns the *pre-increment* phase in turns [0, 1).
     #[inline]
     pub fn tick(&mut self) -> f64 {
-        let phase = self.acc as f64 / (1u128 << self.bits) as f64;
+        // `acc < 2^63`, so the signed conversion (one instruction on
+        // x86-64, unlike the unsigned one) gives the same value.
+        let phase = self.acc as i64 as f64 * pow2(-(self.bits as i32));
         self.acc = (self.acc + self.increment) & self.mask();
         phase
     }

@@ -16,6 +16,9 @@ pub struct GaussPulseGenerator {
     /// A queue, because the framework arms the *next* revolution's pulse
     /// while the previous one may still be pending.
     armed_at: std::collections::VecDeque<u64>,
+    /// The queue's front trigger (`u64::MAX` when nothing is armed), so an
+    /// idle tick is one compare instead of a queue lookup.
+    next_trigger: u64,
     /// Current absolute sample index.
     now: u64,
     /// Output amplitude scale.
@@ -30,6 +33,7 @@ impl GaussPulseGenerator {
             table,
             playing: None,
             armed_at: std::collections::VecDeque::new(),
+            next_trigger: u64::MAX,
             now: 0,
             amplitude,
         }
@@ -59,16 +63,26 @@ impl GaussPulseGenerator {
     /// per-revolution arm of the next pulse never cancels a pending one.
     pub fn arm(&mut self, at_sample: u64) {
         self.armed_at.push_back(at_sample);
+        self.refresh_next_trigger();
+    }
+
+    fn refresh_next_trigger(&mut self) {
+        self.next_trigger = self.armed_at.front().copied().unwrap_or(u64::MAX);
+    }
+
+    /// Start the pulse at the queue's front (at most one per tick).
+    fn fire(&mut self) {
+        if self.armed_at.pop_front().is_some() {
+            self.playing = Some(0);
+            self.refresh_next_trigger();
+        }
     }
 
     /// Advance one sample clock and produce the output voltage.
     #[inline]
     pub fn tick(&mut self) -> f64 {
-        if let Some(&at) = self.armed_at.front() {
-            if self.now >= at {
-                self.playing = Some(0);
-                self.armed_at.pop_front();
-            }
+        if self.now >= self.next_trigger {
+            self.fire();
         }
         self.now += 1;
         match self.playing {
@@ -132,6 +146,7 @@ impl GaussPulseGenerator {
         }
         self.playing = state.playing;
         self.armed_at = state.armed_at.iter().copied().collect();
+        self.refresh_next_trigger();
         self.now = state.now;
         self.amplitude = state.amplitude;
         true

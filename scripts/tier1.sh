@@ -28,6 +28,10 @@ RUSTFLAGS="-D warnings" cargo build -q -p cil-core -p cil-dsp -p cil-cgra
 # compiling; it is a debugging configuration, not part of the test run.
 cargo build -q -p cil-core --features strict-faults
 cargo test -q --workspace
+# Signal-chain golden digests and exactness proptests: the per-sample path
+# must stay bit-identical at opt-level 3 with thin LTO too, not only in the
+# opt-level 2 test profile the workspace pass uses.
+cargo test --release -q --test dsp_chain
 # Headline robustness claims: storm recovery, deterministic replay,
 # graceful engine degradation.
 cargo test -q --test fault_injection

@@ -3,10 +3,19 @@
 
 use cavity_in_the_loop::dsp::converter::AdcModel;
 use cavity_in_the_loop::dsp::dds::Dds;
+use cavity_in_the_loop::dsp::fixed::{dequantize, pow2, quantize, PhaseAccumulator};
 use cavity_in_the_loop::dsp::gauss::GaussPulseGenerator;
 use cavity_in_the_loop::dsp::period::PeriodLengthDetector;
 use cavity_in_the_loop::dsp::phase_detector::PhaseDetector;
 use cavity_in_the_loop::dsp::ring_buffer::CaptureRingBuffer;
+use cil_core::checkpoint::{encode_snapshot, Checkpoint};
+use cil_core::control::BeamPhaseController;
+use cil_core::engine::{BeamEngine, EngineKind, EngineState, EngineStep, SignalLevelEngine};
+use cil_core::fault::{CavityPlantState, FaultEvent, FaultInjector, FaultKind, FaultProgram};
+use cil_core::harness::{LoopHarness, LoopTrace};
+use cil_core::signalgen::{PhaseJumpProgram, SignalBench};
+use cil_core::telemetry::TelemetryRegistry;
+use cil_core::MdeScenario;
 use proptest::prelude::*;
 
 /// DDS → ADC → period detector: the frequency measurement path locks to
@@ -156,5 +165,502 @@ proptest! {
             (lerp - truth).abs(),
             bound
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bit-identity of the signal-level chain.
+//
+// Each scenario closes the loop around `SignalLevelEngine` for a few
+// milliseconds of bench time (three jump intervals of 1 ms) and reduces the
+// run to two FNV-1a digests: one over every bit of the `LoopTrace`, one over
+// the canonical checkpoint encoding of the final engine state (bench,
+// framework and detector). The pinned values were produced by the
+// per-sample chain before its hot path was rewritten; any change to DDS
+// interpolation, converter quantisation, pulse playback, period tracking or
+// the detector shows up here as a digest mismatch. The period-guard
+// counters are excluded from the state digest and checked by an exact
+// identity instead (one verdict per period measurement).
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over a byte stream.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn f64s(&mut self, values: &[f64]) {
+        self.bytes(&(values.len() as u64).to_le_bytes());
+        for v in values {
+            self.bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+}
+
+fn trace_digest(trace: &LoopTrace) -> u64 {
+    let mut h = Fnv::new();
+    h.f64s(&trace.times);
+    for bunch in &trace.bunch_phase_deg {
+        h.f64s(bunch);
+    }
+    h.f64s(&trace.mean_phase_deg);
+    h.f64s(&trace.control_hz);
+    h.f64s(&trace.jump_times);
+    h.bytes(format!("{:?}|{:?}", trace.events, trace.outcome).as_bytes());
+    h.0
+}
+
+/// Digest of the engine state through the checkpoint codec (the canonical
+/// byte form), with the period-guard counters zeroed.
+fn state_digest(s: &MdeScenario, state: &EngineState) -> u64 {
+    let EngineState::SignalLevel(engine) = state else {
+        panic!("not a signal-level state");
+    };
+    let mut engine = engine.clone();
+    engine.period_admitted = 0;
+    engine.period_rejected = 0;
+    let ck = Checkpoint {
+        turn: 0,
+        time_s: 0.0,
+        supervised: false,
+        kind: EngineKind::Map,
+        bunches: s.bunches as u32,
+        engine: EngineState::SignalLevel(engine),
+        controller: golden_harness(s).controller.state(),
+        injector: FaultInjector::none().state(),
+        supervisor: None,
+        ctrl_phase_rad: 0.0,
+        last_jump_deg: 0.0,
+        rows: 0,
+        events: 0,
+        jumps: 0,
+        log_bytes: 0,
+        telemetry: None,
+    };
+    let mut h = Fnv::new();
+    h.bytes(&encode_snapshot(&ck));
+    h.0
+}
+
+/// Every period measurement after lock gets exactly one guard verdict:
+/// admissions + rejections = completed period measurements, which is one
+/// less than the reference crossings the period detector has seen.
+fn assert_one_verdict_per_period(state: &EngineState) {
+    let EngineState::SignalLevel(s) = state else {
+        panic!("not a signal-level state");
+    };
+    let measurements = s.fw.period.zcd.crossings_seen.saturating_sub(1);
+    assert!(measurements > 0, "the period detector locked");
+    assert_eq!(
+        s.period_admitted + s.period_rejected,
+        measurements,
+        "admitted {} + rejected {} vs {measurements} period measurements",
+        s.period_admitted,
+        s.period_rejected
+    );
+}
+
+/// The golden runs' base: the paper's four-bunch MDE scenario with jumps
+/// every millisecond.
+fn golden_scenario() -> MdeScenario {
+    let mut s = MdeScenario::nov24_2023();
+    s.jumps.interval_s = 1e-3;
+    s
+}
+
+const GOLDEN_DURATION_S: f64 = 3.2e-3;
+
+fn golden_harness(s: &MdeScenario) -> LoopHarness {
+    let mut controller = BeamPhaseController::new(s.controller, s.f_rev * s.bunches as f64);
+    controller.enabled = true;
+    LoopHarness::new(controller, s.jumps, s.instrument_offset_deg)
+}
+
+/// A signal-level engine that checkpoints itself once at `swap_at_s`
+/// (never when infinite): save, build a fresh engine from the scenario,
+/// restore, carry on.
+struct RestoredMidRun {
+    inner: SignalLevelEngine,
+    scenario: MdeScenario,
+    swap_at_s: f64,
+    swapped: bool,
+}
+
+impl BeamEngine for RestoredMidRun {
+    fn bunches(&self) -> usize {
+        self.inner.bunches()
+    }
+    fn time(&self) -> f64 {
+        self.inner.time()
+    }
+    fn step(&mut self, jumps: &PhaseJumpProgram, phase_out: &mut [f64]) -> EngineStep {
+        if !self.swapped && self.inner.time() >= self.swap_at_s {
+            let state = self.inner.save_state();
+            let mut fresh = SignalLevelEngine::from_scenario(&self.scenario).unwrap();
+            assert!(fresh.restore_state(&state));
+            self.inner = fresh;
+            self.swapped = true;
+        }
+        self.inner.step(jumps, phase_out)
+    }
+    fn apply_control(&mut self, u_hz: f64, decimation: u32) {
+        self.inner.apply_control(u_hz, decimation);
+    }
+    fn applied_jump_deg(&self) -> f64 {
+        self.inner.applied_jump_deg()
+    }
+    fn cavity_voltage_scale(&self) -> f64 {
+        self.inner.cavity_voltage_scale()
+    }
+    fn command_voltage(&mut self, boost: f64) {
+        self.inner.command_voltage(boost);
+    }
+    fn cavity_state(&self) -> CavityPlantState {
+        self.inner.cavity_state()
+    }
+    fn restore_cavity(&mut self, state: &CavityPlantState) {
+        self.inner.restore_cavity(state);
+    }
+    fn sample_telemetry(&self, telemetry: &TelemetryRegistry) {
+        self.inner.sample_telemetry(telemetry);
+    }
+    fn save_state(&self) -> EngineState {
+        self.inner.save_state()
+    }
+    fn restore_state(&mut self, state: &EngineState) -> bool {
+        self.inner.restore_state(state)
+    }
+}
+
+fn golden_run(s: &MdeScenario, restore_at_s: Option<f64>) -> (u64, u64) {
+    let mut engine = RestoredMidRun {
+        inner: SignalLevelEngine::from_scenario(s).unwrap(),
+        scenario: s.clone(),
+        swap_at_s: restore_at_s.unwrap_or(f64::INFINITY),
+        swapped: false,
+    };
+    let trace = golden_harness(s).run(&mut engine, GOLDEN_DURATION_S);
+    assert_eq!(engine.swapped, restore_at_s.is_some());
+    let state = engine.save_state();
+    assert!(trace.times.len() > 1000, "the detector measured");
+    assert_eq!(trace.jump_times.len(), 3, "three jump edges");
+    assert_one_verdict_per_period(&state);
+    (trace_digest(&trace), state_digest(s, &state))
+}
+
+fn with_faults(events: Vec<FaultEvent>) -> MdeScenario {
+    let mut s = golden_scenario();
+    s.faults = FaultProgram { seed: 7, events };
+    s
+}
+
+/// Pinned `(trace, state)` digests per scenario.
+const GOLDEN: [(&str, u64, u64); 7] = [
+    ("clean", 0x60fb2234c7bfd05d, 0xa72507027077cfab),
+    ("adc_noise", 0x38166ec13bb683a8, 0x4eef3135345dbd4e),
+    ("cavity_quench", 0xc57ef9ef1bd06c88, 0x3da59fbc83545da3),
+    ("cavity_detune", 0xc1c9b47da8ea3142, 0x6bc1723575385e65),
+    ("adc_fault", 0x467cc83bb1f602fa, 0xf1183a4aa606cdcc),
+    ("dds_dropout", 0x7e0d114d58b43e8d, 0x1483bc7884829ecb),
+    (
+        "restored_mid_interval",
+        0x60fb2234c7bfd05d,
+        0xa72507027077cfab,
+    ),
+];
+
+fn golden_case(name: &str) -> (u64, u64) {
+    match name {
+        "clean" => golden_run(&golden_scenario(), None),
+        "adc_noise" => {
+            let mut s = golden_scenario();
+            s.adc_noise_rms = 4e-3;
+            golden_run(&s, None)
+        }
+        "cavity_quench" => {
+            let mut s = golden_scenario();
+            s.faults = FaultProgram::cavity_quench(1.5e-3, 4e-3, 11);
+            golden_run(&s, None)
+        }
+        "cavity_detune" => {
+            let mut s = golden_scenario();
+            s.faults = FaultProgram::cavity_detune(0.8e-3, 2.4e-3, 2e5, 12);
+            golden_run(&s, None)
+        }
+        "adc_fault" => golden_run(
+            &with_faults(vec![
+                FaultEvent {
+                    start_s: 1.2e-3,
+                    end_s: 1.3e-3,
+                    kind: FaultKind::AdcBitFlip { bit: 11 },
+                },
+                FaultEvent {
+                    start_s: 2.2e-3,
+                    end_s: 2.25e-3,
+                    kind: FaultKind::AdcSaturation,
+                },
+            ]),
+            None,
+        ),
+        "dds_dropout" => golden_run(
+            &with_faults(vec![FaultEvent {
+                start_s: 1.4e-3,
+                end_s: 1.6e-3,
+                kind: FaultKind::DdsDropout,
+            }]),
+            None,
+        ),
+        // Halfway between the 1 ms and 2 ms jump edges.
+        "restored_mid_interval" => golden_run(&golden_scenario(), Some(1.5e-3)),
+        other => panic!("unknown golden scenario {other}"),
+    }
+}
+
+#[test]
+fn signal_chain_is_bit_identical_to_golden() {
+    let got: Vec<(u64, u64)> = GOLDEN.iter().map(|g| golden_case(g.0)).collect();
+    let mismatches: Vec<String> = GOLDEN
+        .iter()
+        .zip(&got)
+        .filter(|(g, d)| (g.1, g.2) != **d)
+        .map(|(g, d)| format!("(\"{}\", {:#018x}, {:#018x}),", g.0, d.0, d.1))
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "signal-level chain output changed:\n{}",
+        mismatches.join("\n")
+    );
+    // Independently of the pinned values: the mid-interval checkpoint
+    // replays the uninterrupted run bit for bit.
+    let digest = |name: &str| got[GOLDEN.iter().position(|g| g.0 == name).unwrap()];
+    assert_eq!(digest("restored_mid_interval"), digest("clean"));
+}
+
+// ---------------------------------------------------------------------------
+// Exactness of the rewritten per-sample primitives against the arithmetic
+// they replaced: every comparison is on bits, not within a tolerance.
+// ---------------------------------------------------------------------------
+
+/// Reference quantiser: divide, `f64::round`, clamp the code.
+fn quantize_by_round(value: f64, full_scale: f64, bits: u32) -> i32 {
+    let max_code = (1i64 << (bits - 1)) - 1;
+    let min_code = -(1i64 << (bits - 1));
+    let scaled = (value / full_scale * (max_code as f64 + 1.0)).round() as i64;
+    scaled.clamp(min_code, max_code) as i32
+}
+
+/// A probe value for the quantiser, picked by `kind`: in-range, exact ±½
+/// ties, far out of range, raw bit patterns (NaN, ±∞, subnormals), ±2^52.
+fn quantizer_probe(kind: u64, bits: u32, full_scale: f64, u: f64, raw: u64, k: u64) -> f64 {
+    let half_range = (1i64 << (bits - 1)) as f64;
+    let code = (k % (2 * half_range as u64 + 2)) as f64 - half_range - 1.0;
+    match kind % 8 {
+        0 => (u * 2.4 - 1.2) * full_scale,
+        1 => (code + 0.5) / half_range * full_scale,
+        2 => (code - 0.5) / half_range * full_scale,
+        3 => (u - 0.5) * 1e300,
+        4 => f64::from_bits(raw),
+        5 => [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN][(k % 4) as usize],
+        6 => [4503599627370496.0, -4503599627370496.0, 0.5, -0.5][(k % 4) as usize],
+        _ => (code + u) / half_range * full_scale,
+    }
+}
+
+#[test]
+fn quantize_edge_values_match_round() {
+    let specials = [
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        1.5,
+        -1.5,
+        0.49999999999999994,
+        -0.49999999999999994,
+        4503599627370496.0,
+        -4503599627370496.0,
+        4503599627370495.5,
+        -4503599627370495.5,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        5e-324,
+    ];
+    for bits in 2..=31 {
+        let scale = (1i64 << (bits - 1)) as f64;
+        for &v in &specials {
+            // As a raw value and pre-scaled to code units, so the ties
+            // fall exactly on ±½ codes.
+            for value in [v, v / scale] {
+                assert_eq!(
+                    quantize(value, 1.0, bits),
+                    quantize_by_round(value, 1.0, bits),
+                    "value {value:e}, bits {bits}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The truncate-and-correct quantiser equals round-then-clamp for every
+    /// width the converters accept.
+    #[test]
+    fn quantize_matches_round(
+        kind in any::<u64>(),
+        bits in 2u32..32,
+        fs in 0.01f64..4.0,
+        u in 0.0f64..1.0,
+        raw in any::<u64>(),
+        k in any::<u64>(),
+    ) {
+        let value = quantizer_probe(kind, bits, fs, u, raw, k);
+        let full_scale = if kind.is_multiple_of(3) { 1.0 } else { fs };
+        prop_assert_eq!(
+            quantize(value, full_scale, bits),
+            quantize_by_round(value, full_scale, bits),
+            "value {:e} ({:#x}), full scale {}, bits {}",
+            value,
+            value.to_bits(),
+            full_scale,
+            bits
+        );
+    }
+
+    /// Power-of-two scaling by multiplication is bit-identical to the
+    /// division it replaced, for any code, full scale and width.
+    #[test]
+    fn dequantize_matches_division(
+        code in any::<u32>(),
+        raw in any::<u64>(),
+        fs in 0.01f64..4.0,
+        bits in 2u32..32,
+    ) {
+        let code = code as i32;
+        let full_scale = if raw.is_multiple_of(2) { fs } else { f64::from_bits(raw) };
+        let by_division = f64::from(code) / (1i64 << (bits - 1)) as f64 * full_scale;
+        let got = dequantize(code, full_scale, bits);
+        prop_assert!(
+            got.to_bits() == by_division.to_bits() || (got.is_nan() && by_division.is_nan()),
+            "code {code}, full scale {full_scale:e}, bits {bits}: {got:e} vs {by_division:e}"
+        );
+        // The scaling factor itself, on arbitrary operands.
+        let x = f64::from_bits(raw);
+        let k = bits as i32 + (raw % 900) as i32;
+        let by_division = x / 2f64.powi(k);
+        let scaled = x * pow2(-k);
+        prop_assert!(
+            scaled.to_bits() == by_division.to_bits() || (scaled.is_nan() && by_division.is_nan()),
+            "{x:e} / 2^{k}"
+        );
+    }
+
+    /// The accumulator's phase read-out equals the u128-span division it
+    /// replaced, at every width.
+    #[test]
+    fn accumulator_phase_matches_division(
+        bits in 8u32..64,
+        acc in any::<u64>(),
+        increment in any::<u64>(),
+    ) {
+        let mut a = PhaseAccumulator::new(bits);
+        let mask = (1u64 << bits) - 1;
+        a.acc = acc & mask;
+        a.increment = increment & mask;
+        for _ in 0..4 {
+            let expect = a.acc as f64 / (1u128 << bits) as f64;
+            let phase = a.tick();
+            prop_assert_eq!(phase.to_bits(), expect.to_bits(), "bits {}", bits);
+        }
+    }
+
+    /// The edge-scheduled jump program applies exactly the offset the
+    /// per-sample `offset_deg_at` evaluation did, on every sample, for any
+    /// interval (down to below one sample), latency and sample rate — and
+    /// a bench restored mid-interval re-derives its edge schedule.
+    #[test]
+    fn edge_scheduled_jumps_match_per_sample_program(
+        interval_samples in 0.3f64..700.0,
+        latency_samples in -900.0f64..900.0,
+        sample_rate in 1e6f64..3e8,
+        restore_at in 1u64..4000,
+        stale_ticks in 0u64..3000,
+    ) {
+        let program = PhaseJumpProgram {
+            amplitude_deg: 8.0,
+            interval_s: interval_samples / sample_rate,
+            path_latency_s: latency_samples / sample_rate,
+        };
+        let bench = || SignalBench::new(sample_rate, sample_rate / 1000.0, 4, 0.5, 0.5, program);
+        let mut straight = bench();
+        let mut restored = bench();
+        for n in 0..4000u64 {
+            if n == restore_at {
+                // Restore onto a bench that has run on, so its own edge
+                // schedule is stale.
+                let state = restored.state();
+                for _ in 0..stale_ticks {
+                    restored.tick();
+                }
+                restored.restore(&state);
+            }
+            let a = straight.tick();
+            let b = restored.tick();
+            let want = program.offset_deg_at(n as f64 / sample_rate);
+            prop_assert_eq!(straight.applied_jump_deg().to_bits(), want.to_bits(), "sample {}", n);
+            prop_assert_eq!(restored.applied_jump_deg().to_bits(), want.to_bits(), "sample {}", n);
+            prop_assert_eq!((a.0.to_bits(), a.1.to_bits()), (b.0.to_bits(), b.1.to_bits()));
+        }
+    }
+}
+
+/// Degenerate programs (no amplitude, zero, negative, NaN or infinite
+/// interval, latency far beyond the run) still match the per-sample
+/// evaluation and never spin.
+#[test]
+fn edge_schedule_handles_degenerate_programs() {
+    let sample_rate = 250e6;
+    for (interval_s, path_latency_s) in [
+        (0.0, 0.0),
+        (-1e-6, 0.0),
+        (f64::NAN, 0.0),
+        (f64::INFINITY, 0.0),
+        (1e-6, f64::NAN),
+        (1e-6, 1e9),
+        (1e-6, -1e9),
+        (1e-300, 0.0),
+        (1e300, -1e300),
+    ] {
+        for amplitude_deg in [0.0, 8.0] {
+            let program = PhaseJumpProgram {
+                amplitude_deg,
+                interval_s,
+                path_latency_s,
+            };
+            let mut bench = SignalBench::new(sample_rate, 800e3, 4, 0.5, 0.5, program);
+            for n in 0..2000u64 {
+                bench.tick();
+                let want = program.offset_deg_at(n as f64 / sample_rate);
+                assert_eq!(
+                    bench.applied_jump_deg().to_bits(),
+                    want.to_bits(),
+                    "{program:?} at sample {n}"
+                );
+            }
+        }
     }
 }
