@@ -44,7 +44,9 @@
 //! point (a few f64 columns), not full traces, so a 10⁵-point campaign's
 //! memory footprint is megabytes.
 
-use crate::checkpoint::{frame_block, next_frame, CheckpointError, Dec, Enc};
+use crate::checkpoint::{
+    codec_enum, codec_struct, frame_block, next_frame, CheckpointError, Codec, Dec, Enc,
+};
 use crate::error::Result as CilResult;
 use crate::scenario::MdeScenario;
 use crate::sweep::{panic_message, parallel_sweep_with_merge, EngineArena};
@@ -349,108 +351,101 @@ fn points_digest(digests: &[u64]) -> u64 {
     h
 }
 
+/// The WAL's first frame after its `u32` version: which campaign the log
+/// belongs to. Retry policy is recorded but is *not* identity — resuming
+/// with a different retry budget only affects shards not yet recorded,
+/// which is exactly the knob an operator may want to turn mid-campaign;
+/// the already-recorded shards keep their outcomes.
+#[derive(Debug, PartialEq)]
+struct WalHeader {
+    n_points: u64,
+    shard_points: u64,
+    points_digest: u64,
+    max_retries: u32,
+    backoff_base_ticks: u64,
+    backoff_cap_ticks: u64,
+    columns: Vec<String>,
+}
+
+codec_struct! {
+    WalHeader {
+        n_points: u64, shard_points: u64, points_digest: u64, max_retries: u32,
+        backoff_base_ticks: u64, backoff_cap_ticks: u64, columns: Vec<String>,
+    }
+    PointOutcome {
+        index: usize, digest: u64, attempts: u32, backoff_ticks: u64, status: PointStatus,
+    }
+}
+
+codec_enum! {
+    PointStatus { 0 => Completed(values: Vec<f64>), 1 => Quarantined(msg: String) }
+}
+
+impl WalHeader {
+    fn new(cfg: &CampaignConfig, n_points: usize, points_digest: u64) -> Self {
+        Self {
+            n_points: n_points as u64,
+            shard_points: cfg.shard_points as u64,
+            points_digest,
+            max_retries: cfg.max_retries,
+            backoff_base_ticks: cfg.backoff_base_ticks,
+            backoff_cap_ticks: cfg.backoff_cap_ticks,
+            columns: cfg.columns.clone(),
+        }
+    }
+}
+
 fn encode_header(cfg: &CampaignConfig, n_points: usize, points_digest: u64) -> Vec<u8> {
     let mut e = Enc::default();
-    e.u32(WAL_VERSION);
-    e.u64(n_points as u64);
-    e.u64(cfg.shard_points as u64);
-    e.u64(points_digest);
-    e.u32(cfg.max_retries);
-    e.u64(cfg.backoff_base_ticks);
-    e.u64(cfg.backoff_cap_ticks);
-    e.usize(cfg.columns.len());
-    for c in &cfg.columns {
-        e.str(c);
-    }
+    WAL_VERSION.enc(&mut e);
+    WalHeader::new(cfg, n_points, points_digest).enc(&mut e);
     frame_block(HEADER_MAGIC, &e.buf)
 }
 
-/// Check a decoded header against this campaign. Retry policy is *not*
-/// identity — resuming with a different retry budget only affects shards
-/// not yet recorded, which is exactly the knob an operator may want to
-/// turn mid-campaign; the already-recorded shards keep their outcomes.
+/// Check a decoded header against this campaign (see [`WalHeader`] for
+/// what counts as identity).
 fn check_header(payload: &[u8], cfg: &CampaignConfig, n_points: usize, digest: u64) -> R<()> {
     let mut d = Dec::new(payload);
-    let version = d.u32()?;
+    let version = u32::dec(&mut d)?;
     if version != WAL_VERSION {
         return Err(CampaignError::Wal(CheckpointError::UnsupportedVersion(
             version,
         )));
     }
-    if d.u64()? != n_points as u64 {
-        return Err(CampaignError::Incompatible("point count differs"));
-    }
-    if d.u64()? != cfg.shard_points as u64 {
-        return Err(CampaignError::Incompatible("shard size differs"));
-    }
-    if d.u64()? != digest {
-        return Err(CampaignError::Incompatible("point digests differ"));
-    }
-    let _max_retries = d.u32()?;
-    let _base = d.u64()?;
-    let _cap = d.u64()?;
-    let n_cols = d.len_capped(1)?;
-    if n_cols != cfg.columns.len() {
-        return Err(CampaignError::Incompatible("column count differs"));
-    }
-    for c in &cfg.columns {
-        if d.str()? != *c {
-            return Err(CampaignError::Incompatible("column names differ"));
-        }
-    }
+    let got = WalHeader::dec(&mut d)?;
     d.finish()?;
-    Ok(())
+    let want = WalHeader::new(cfg, n_points, digest);
+    let checks = [
+        (got.n_points == want.n_points, "point count differs"),
+        (got.shard_points == want.shard_points, "shard size differs"),
+        (
+            got.points_digest == want.points_digest,
+            "point digests differ",
+        ),
+        (
+            got.columns.len() == want.columns.len(),
+            "column count differs",
+        ),
+        (got.columns == want.columns, "column names differ"),
+    ];
+    match checks.iter().find(|(same, _)| !same) {
+        Some(&(_, why)) => Err(CampaignError::Incompatible(why)),
+        None => Ok(()),
+    }
 }
 
+/// A shard frame: its index, then its records behind a `u32` count.
 fn encode_shard(shard_index: usize, records: &[PointOutcome]) -> Vec<u8> {
     let mut e = Enc::default();
-    e.u64(shard_index as u64);
-    e.u32(records.len() as u32);
-    for r in records {
-        e.u64(r.index as u64);
-        e.u64(r.digest);
-        e.u32(r.attempts);
-        e.u64(r.backoff_ticks);
-        match &r.status {
-            PointStatus::Completed(values) => {
-                e.u8(0);
-                e.f64s(values);
-            }
-            PointStatus::Quarantined(msg) => {
-                e.u8(1);
-                e.str(msg);
-            }
-        }
-    }
+    shard_index.enc(&mut e);
+    e.run32(records);
     frame_block(SHARD_MAGIC, &e.buf)
 }
 
 fn decode_shard(payload: &[u8]) -> R<(usize, Vec<PointOutcome>)> {
     let mut d = Dec::new(payload);
-    let shard_index = d.usize()?;
-    let n = d.u32()? as usize;
-    if n.saturating_mul(29) > d.remaining() {
-        return Err(CheckpointError::Malformed("shard point count exceeds payload").into());
-    }
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        let index = d.usize()?;
-        let digest = d.u64()?;
-        let attempts = d.u32()?;
-        let backoff_ticks = d.u64()?;
-        let status = match d.u8()? {
-            0 => PointStatus::Completed(d.f64s()?),
-            1 => PointStatus::Quarantined(d.str()?),
-            _ => return Err(CheckpointError::Malformed("point status tag out of range").into()),
-        };
-        records.push(PointOutcome {
-            index,
-            digest,
-            attempts,
-            backoff_ticks,
-            status,
-        });
-    }
+    let shard_index = usize::dec(&mut d)?;
+    let records = d.run32()?;
     d.finish()?;
     Ok((shard_index, records))
 }
@@ -1152,6 +1147,68 @@ mod tests {
             .run(|_w, &p| Ok(vec![p as f64]))
             .unwrap_err();
         assert!(matches!(err, CampaignError::Incompatible(_)), "{err:?}");
+    }
+
+    /// The WAL header and a shard with both statuses are pinned: the
+    /// digests were computed before the WAL records moved onto the shared
+    /// `Codec` trait, and any change to them must bump `WAL_VERSION`.
+    #[test]
+    fn golden_wal_bytes_are_pinned() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        };
+        let mut c = CampaignConfig::new("unused", &["peak_ratio", "résidu"]);
+        c.shard_points = 3;
+        c.max_retries = 4;
+        c.backoff_base_ticks = 2;
+        c.backoff_cap_ticks = 32;
+        let header = encode_header(&c, 7, 0x0123_4567_89AB_CDEF);
+        let frame = |h: &[u8]| next_frame(h, 0, HEADER_MAGIC).unwrap().unwrap().0.to_vec();
+        check_header(&frame(&header), &c, 7, 0x0123_4567_89AB_CDEF).unwrap();
+        let records = vec![
+            PointOutcome {
+                index: 3,
+                digest: 0xFEED,
+                attempts: 1,
+                backoff_ticks: 0,
+                status: PointStatus::Completed(vec![2.25, -0.0]),
+            },
+            PointOutcome {
+                index: 4,
+                digest: u64::MAX,
+                attempts: 5,
+                backoff_ticks: 30,
+                status: PointStatus::Quarantined("panic: \"bad\" point".into()),
+            },
+            PointOutcome {
+                index: 5,
+                digest: 0,
+                attempts: 2,
+                backoff_ticks: 2,
+                status: PointStatus::Completed(Vec::new()),
+            },
+        ];
+        let shard = encode_shard(1, &records);
+        let payload = next_frame(&shard, 0, SHARD_MAGIC).unwrap().unwrap().0;
+        assert_eq!(decode_shard(payload).unwrap(), (1, records));
+        assert_eq!(
+            (fnv1a(&header), fnv1a(&shard), WAL_VERSION),
+            (0xABA39D221FDF7888, 0x9EA3422270FEAD3B, 1),
+            "WAL bytes changed"
+        );
+    }
+
+    #[test]
+    fn wal_records_satisfy_the_codec_properties() {
+        crate::checkpoint::tests::check_type::<WalHeader>();
+        crate::checkpoint::tests::check_type::<PointOutcome>();
+        crate::checkpoint::tests::check_type::<PointStatus>();
+        // The shard record cap was the literal 29: index, digest, attempts
+        // and backoff plus the status tag. Every status also carries an
+        // 8-byte length (values or message), which the derived bound adds.
+        assert_eq!(PointOutcome::MIN_BYTES, 29 + 8);
     }
 
     #[test]

@@ -178,8 +178,27 @@ impl From<std::io::Error> for CheckpointError {
 type R<T> = std::result::Result<T, CheckpointError>;
 
 // ---------------------------------------------------------------------------
-// Little-endian encoder / decoder (shared with the campaign WAL)
+// Little-endian codec (shared with the campaign WAL)
 // ---------------------------------------------------------------------------
+
+/// One persisted type's wire layout, little-endian throughout.
+///
+/// Every state type, enum and WAL record has exactly one implementation,
+/// and the compound ones come from a single field list in wire order
+/// ([`codec_struct!`], [`codec_enum!`]): the encoder and the decoder are
+/// generated from the same declaration, so they cannot drift apart.
+/// Reordering, adding or removing a field changes the bytes and must bump
+/// [`SNAPSHOT_VERSION`] (or the campaign WAL version).
+pub(crate) trait Codec: Sized {
+    /// Fewest bytes any value encodes to. Declared collection lengths are
+    /// capped against it, so a hostile length fails before allocating.
+    const MIN_BYTES: usize;
+    fn enc(&self, e: &mut Enc);
+    fn dec(d: &mut Dec) -> R<Self>;
+    /// A pseudo-random value, for the generic codec properties.
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self;
+}
 
 #[derive(Default)]
 pub(crate) struct Enc {
@@ -187,56 +206,11 @@ pub(crate) struct Enc {
 }
 
 impl Enc {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-    pub(crate) fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    pub(crate) fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    pub(crate) fn opt<T>(&mut self, v: &Option<T>, mut enc: impl FnMut(&mut Self, &T)) {
-        match v {
-            None => self.u8(0),
-            Some(inner) => {
-                self.u8(1);
-                enc(self, inner);
-            }
-        }
-    }
-    pub(crate) fn f64s(&mut self, v: &[f64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f64(x);
-        }
-    }
-    pub(crate) fn u64s(&mut self, v: &[u64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.u64(x);
-        }
-    }
-    pub(crate) fn bools(&mut self, v: &[bool]) {
-        self.usize(v.len());
-        for &x in v {
-            self.bool(x);
+    /// A run of values behind a `u32` count (trace blocks, WAL shards).
+    pub(crate) fn run32<T: Codec>(&mut self, items: &[T]) {
+        (items.len() as u32).enc(self);
+        for item in items {
+            item.enc(self);
         }
     }
 }
@@ -250,87 +224,299 @@ impl<'a> Dec<'a> {
     pub(crate) fn new(data: &'a [u8]) -> Self {
         Self { data, pos: 0 }
     }
-    pub(crate) fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-    pub(crate) fn bytes(&mut self, n: usize) -> R<&'a [u8]> {
-        if self.remaining() < n {
+    fn bytes(&mut self, n: usize) -> R<&'a [u8]> {
+        if self.data.len() - self.pos < n {
             return Err(CheckpointError::Malformed("unexpected end of payload"));
         }
         let s = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
-    pub(crate) fn u8(&mut self) -> R<u8> {
-        Ok(self.bytes(1)?[0])
+    fn array<const N: usize>(&mut self) -> R<[u8; N]> {
+        Ok(self.bytes(N)?.try_into().unwrap())
     }
-    pub(crate) fn u32(&mut self) -> R<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-    pub(crate) fn u64(&mut self) -> R<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn i64(&mut self) -> R<i64> {
-        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn f64(&mut self) -> R<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    pub(crate) fn bool(&mut self) -> R<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CheckpointError::Malformed("boolean byte out of range")),
-        }
-    }
-    pub(crate) fn usize(&mut self) -> R<usize> {
-        usize::try_from(self.u64()?)
-            .map_err(|_| CheckpointError::Malformed("length exceeds platform usize"))
-    }
-    /// Decode a collection length, capped against the bytes actually left
-    /// in the payload so a corrupted length can never trigger a huge
-    /// allocation.
-    pub(crate) fn len_capped(&mut self, elem_bytes: usize) -> R<usize> {
-        let n = self.usize()?;
-        if n.saturating_mul(elem_bytes.max(1)) > self.remaining() {
+    /// Read a count (an `N`) of elements of at least `elem_bytes` each,
+    /// checked against the bytes left in the payload so a corrupted count
+    /// can never trigger a huge allocation.
+    pub(crate) fn count<N: Codec + Into<u64>>(&mut self, elem_bytes: usize) -> R<usize> {
+        let n: u64 = N::dec(self)?.into();
+        let left = (self.data.len() - self.pos) as u64;
+        if n.saturating_mul(elem_bytes.max(1) as u64) > left {
             return Err(CheckpointError::Malformed(
                 "collection length exceeds payload",
             ));
         }
-        Ok(n)
+        Ok(n as usize)
     }
-    pub(crate) fn str(&mut self) -> R<String> {
-        let n = self.len_capped(1)?;
-        let bytes = self.bytes(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CheckpointError::Malformed("string is not valid UTF-8"))
-    }
-    pub(crate) fn opt<T>(&mut self, mut dec: impl FnMut(&mut Self) -> R<T>) -> R<Option<T>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(dec(self)?)),
-            _ => Err(CheckpointError::Malformed("option tag out of range")),
-        }
-    }
-    pub(crate) fn f64s(&mut self) -> R<Vec<f64>> {
-        let n = self.len_capped(8)?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    pub(crate) fn u64s(&mut self) -> R<Vec<u64>> {
-        let n = self.len_capped(8)?;
-        (0..n).map(|_| self.u64()).collect()
-    }
-    pub(crate) fn bools(&mut self) -> R<Vec<bool>> {
-        let n = self.len_capped(1)?;
-        (0..n).map(|_| self.bool()).collect()
+    /// Decode a [`Enc::run32`] run.
+    pub(crate) fn run32<T: Codec>(&mut self) -> R<Vec<T>> {
+        let n = self.count::<u32>(T::MIN_BYTES)?;
+        (0..n).map(|_| T::dec(self)).collect()
     }
     pub(crate) fn finish(&self) -> R<()> {
-        if self.remaining() != 0 {
+        if self.pos != self.data.len() {
             return Err(CheckpointError::Malformed("trailing bytes after payload"));
         }
         Ok(())
     }
 }
+
+macro_rules! codec_le {
+    ($($t:ty),+) => {$(
+        impl Codec for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn enc(&self, e: &mut Enc) {
+                e.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn dec(d: &mut Dec) -> R<Self> {
+                Ok(Self::from_le_bytes(d.array()?))
+            }
+            #[cfg(test)]
+            fn arbitrary(g: &mut tests::Gen) -> Self {
+                g.next() as $t
+            }
+        }
+    )+};
+}
+codec_le!(u8, u32, u64, i64);
+
+impl Codec for f64 {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.to_bits().enc(e);
+    }
+    fn dec(d: &mut Dec) -> R<Self> {
+        Ok(Self::from_bits(u64::dec(d)?))
+    }
+    /// Any bit pattern but NaN, which never compares equal (the golden
+    /// trace block pins a NaN's bits).
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self {
+        let x = f64::from_bits(g.next());
+        if x.is_nan() {
+            -0.0
+        } else {
+            x
+        }
+    }
+}
+
+impl Codec for bool {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        u8::from(*self).enc(e);
+    }
+    fn dec(d: &mut Dec) -> R<Self> {
+        match u8::dec(d)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CheckpointError::Malformed("boolean byte out of range")),
+        }
+    }
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self {
+        g.below(2) == 1
+    }
+}
+
+/// Sent as a `u64`.
+impl Codec for usize {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        (*self as u64).enc(e);
+    }
+    fn dec(d: &mut Dec) -> R<Self> {
+        usize::try_from(u64::dec(d)?)
+            .map_err(|_| CheckpointError::Malformed("length exceeds platform usize"))
+    }
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self {
+        g.next() as usize
+    }
+}
+
+/// Sent as an `i64`, range-checked on decode.
+impl Codec for i32 {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        i64::from(*self).enc(e);
+    }
+    fn dec(d: &mut Dec) -> R<Self> {
+        i32::try_from(i64::dec(d)?).map_err(|_| CheckpointError::Malformed("i32 out of range"))
+    }
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self {
+        g.next() as i32
+    }
+}
+
+/// Byte length, then UTF-8 bytes.
+impl Codec for String {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.len().enc(e);
+        e.buf.extend_from_slice(self.as_bytes());
+    }
+    fn dec(d: &mut Dec) -> R<Self> {
+        let n = d.count::<u64>(1)?;
+        String::from_utf8(d.bytes(n)?.to_vec())
+            .map_err(|_| CheckpointError::Malformed("string is not valid UTF-8"))
+    }
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self {
+        (0..g.below(6))
+            .map(|_| ['a', 'Z', '7', ' ', '"', 'é'][g.below(6)])
+            .collect()
+    }
+}
+
+/// Tag byte 0 (`None`) or 1 (`Some`), then the value.
+impl<T: Codec> Codec for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            None => 0u8.enc(e),
+            Some(v) => {
+                1u8.enc(e);
+                v.enc(e);
+            }
+        }
+    }
+    fn dec(d: &mut Dec) -> R<Self> {
+        match u8::dec(d)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::dec(d)?)),
+            _ => Err(CheckpointError::Malformed("option tag out of range")),
+        }
+    }
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self {
+        (g.below(2) == 1).then(|| T::arbitrary(g))
+    }
+}
+
+/// Element count (`usize`), then the elements.
+impl<T: Codec> Codec for Vec<T> {
+    const MIN_BYTES: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        self.len().enc(e);
+        for x in self {
+            x.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec) -> R<Self> {
+        let n = d.count::<u64>(T::MIN_BYTES)?;
+        (0..n).map(|_| T::dec(d)).collect()
+    }
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self {
+        (0..g.below(4)).map(|_| T::arbitrary(g)).collect()
+    }
+}
+
+impl<T: Codec> Codec for Box<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn enc(&self, e: &mut Enc) {
+        (**self).enc(e);
+    }
+    fn dec(d: &mut Dec) -> R<Self> {
+        Ok(Box::new(T::dec(d)?))
+    }
+    #[cfg(test)]
+    fn arbitrary(g: &mut tests::Gen) -> Self {
+        Box::new(T::arbitrary(g))
+    }
+}
+
+/// Smallest entry of a non-empty list, for an enum's [`Codec::MIN_BYTES`].
+pub(crate) const fn min_bytes(xs: &[usize]) -> usize {
+    let mut m = xs[0];
+    let mut i = 1;
+    while i < xs.len() {
+        if xs[i] < m {
+            m = xs[i];
+        }
+        i += 1;
+    }
+    m
+}
+
+/// Declare structs' wire layouts: each struct's fields, with their types,
+/// in wire order. The field list is the type's one [`Codec`].
+macro_rules! codec_struct {
+    ($($T:ident { $($f:ident: $ft:ty),+ $(,)? })+) => {$(
+        impl $crate::checkpoint::Codec for $T {
+            const MIN_BYTES: usize = 0 $(+ <$ft as $crate::checkpoint::Codec>::MIN_BYTES)+;
+            fn enc(&self, e: &mut $crate::checkpoint::Enc) {
+                $(<$ft as $crate::checkpoint::Codec>::enc(&self.$f, e);)+
+            }
+            fn dec(
+                d: &mut $crate::checkpoint::Dec,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                Ok(Self { $($f: <$ft as $crate::checkpoint::Codec>::dec(d)?),+ })
+            }
+            #[cfg(test)]
+            fn arbitrary(g: &mut $crate::checkpoint::tests::Gen) -> Self {
+                Self { $($f: <$ft as $crate::checkpoint::Codec>::arbitrary(g)),+ }
+            }
+        }
+    )+};
+}
+pub(crate) use codec_struct;
+
+/// Declare `u8`-tagged enums' wire layouts: each variant's tag, then its
+/// fields (named, with their types) in wire order. The variant list is the
+/// type's one [`Codec`].
+macro_rules! codec_enum {
+    ($($T:ident {
+        $($tag:literal => $V:ident
+            $(($($t:ident: $tt:ty),+))?
+            $({ $($f:ident: $ft:ty),+ $(,)? })?
+        ),+ $(,)?
+    })+) => {$(
+        impl $crate::checkpoint::Codec for $T {
+            const MIN_BYTES: usize = 1 + $crate::checkpoint::min_bytes(&[$(
+                0 $($(+ <$tt as $crate::checkpoint::Codec>::MIN_BYTES)+)?
+                  $($(+ <$ft as $crate::checkpoint::Codec>::MIN_BYTES)+)?
+            ),+]);
+            fn enc(&self, e: &mut $crate::checkpoint::Enc) {
+                match self {
+                    $(Self::$V $(($($t),+))? $({ $($f),+ })? => {
+                        <u8 as $crate::checkpoint::Codec>::enc(&$tag, e);
+                        $($(<$tt as $crate::checkpoint::Codec>::enc($t, e);)+)?
+                        $($(<$ft as $crate::checkpoint::Codec>::enc($f, e);)+)?
+                    })+
+                }
+            }
+            fn dec(
+                d: &mut $crate::checkpoint::Dec,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                Ok(match <u8 as $crate::checkpoint::Codec>::dec(d)? {
+                    $($tag => Self::$V
+                        $(($(<$tt as $crate::checkpoint::Codec>::dec(d)?),+))?
+                        $({ $($f: <$ft as $crate::checkpoint::Codec>::dec(d)?),+ })?,)+
+                    _ => {
+                        return Err($crate::checkpoint::CheckpointError::Malformed(concat!(
+                            stringify!($T),
+                            " tag out of range"
+                        )))
+                    }
+                })
+            }
+            #[cfg(test)]
+            fn arbitrary(g: &mut $crate::checkpoint::tests::Gen) -> Self {
+                let tags: &[u8] = &[$($tag),+];
+                match tags[g.below(tags.len())] {
+                    $($tag => Self::$V
+                        $(($(<$tt as $crate::checkpoint::Codec>::arbitrary(g)),+))?
+                        $({ $($f: <$ft as $crate::checkpoint::Codec>::arbitrary(g)),+ })?,)+
+                    _ => unreachable!(),
+                }
+            }
+        }
+    )+};
+}
+pub(crate) use codec_enum;
 
 // ---------------------------------------------------------------------------
 // Generic log framing (shared by the trace log and the campaign WAL)
@@ -384,736 +570,122 @@ pub(crate) fn next_frame(bytes: &[u8], pos: usize, magic: u32) -> R<Option<(&[u8
 }
 
 // ---------------------------------------------------------------------------
-// Per-type codecs
+// Wire layouts of the persisted state types
 // ---------------------------------------------------------------------------
 
-fn enc_engine_kind(e: &mut Enc, k: &EngineKind) {
-    match *k {
-        EngineKind::Map => e.u8(0),
-        EngineKind::Cgra => e.u8(1),
-        EngineKind::RefTrack { particles, seed } => {
-            e.u8(2);
-            e.usize(particles);
-            e.u64(seed);
-        }
+codec_struct! {
+    CavityPlantState { boost: f64, phase_rad: f64 }
+    TurnStateSnapshot {
+        time: f64, ctrl_phase_rad: f64, applied_jump_deg: f64, cavity: CavityPlantState,
+    }
+    ExecutorState { regs: Vec<f64>, iterations: u64 }
+    DdsState { acc: u64, increment: u64, amplitude: f64, dropout: bool }
+    RingBufferState { data: Vec<f64>, head: usize, written: u64 }
+    ZeroCrossingState {
+        last_sample: f64, sample_index: u64, last_crossing: Option<u64>, last_crossing_frac: f64,
+        armed: bool, crossings_seen: u64,
+    }
+    PeriodDetectorState {
+        zcd: ZeroCrossingState, history: Vec<f64>, cursor: usize, filled: usize,
+        last_crossing: Option<f64>,
+    }
+    GaussPulseState { playing: Option<usize>, armed_at: Vec<u64>, now: u64, amplitude: f64 }
+    FirState { delay: Vec<f64>, cursor: usize }
+    PhaseDetectorState {
+        zcd: ZeroCrossingState, period_samples: f64, in_pulse: bool, acc_weight: f64,
+        acc_moment: f64, pulse_start: u64, sample_index: u64, last_ref_crossing: Option<f64>,
+        dropped: u64, resync: bool, suppress_pulse: bool,
+    }
+    SignalBenchState {
+        reference: DdsState, gap: DdsState, sample: u64, applied_jump_deg: f64,
+        ctrl_freq_offset: f64, cavity_scale: f64, cavity_detune_hz: f64,
+    }
+    FrameworkState {
+        executor: ExecutorState, ref_buffer: RingBufferState, gap_buffer: RingBufferState,
+        period: PeriodDetectorState, pulses: Vec<GaussPulseState>, sample: u64,
+        last_crossing_sample: Option<u64>, prev_crossing_sample: Option<u64>, last_dt: Vec<f64>,
+        monitor_value: f64, warmed_up: bool, recording: bool, revolutions: u64, adc_rng: u64,
+        adc_fault: Option<AdcFault>,
+    }
+    MapEngineState { gamma_r: f64, dgamma: f64, dt: f64, turn: TurnStateSnapshot }
+    CgraEngineState {
+        executor: ExecutorState, gap_phase_rad: f64, gap_dropout: bool, dt_out: Vec<f64>,
+        turn: TurnStateSnapshot,
+    }
+    RefTrackEngineState {
+        dt: Vec<f64>, dgamma: Vec<f64>, tracker_turn: u64, turn: TurnStateSnapshot,
+    }
+    RampEngineState {
+        gamma_r: f64, dgamma: f64, dt: f64, time: f64, tracker_turn: u64, ctrl_phase_rad: f64,
+        applied_jump_deg: f64, last_f_rev: f64, last_gamma_r: f64, last_phi_s_deg: f64,
+    }
+    SignalLevelEngineState {
+        bench: SignalBenchState, fw: FrameworkState, detector: PhaseDetectorState,
+        period_samples: f64, sample: u64, period_admitted: u64, period_rejected: u64,
+        cavity: CavityPlantState,
+    }
+    // Not declaration order: `enabled` precedes `gain_scale` on the wire.
+    ControllerState {
+        dc_x1: f64, dc_y1: f64, fir: FirState, acc: f64, acc_n: u32, last_output: f64,
+        enabled: bool, gain_scale: f64,
+    }
+    FaultInjectorState { rng: u64, activated: Vec<bool>, corrupted_rows: usize }
+    StepCalibration { kind: EngineKind, step_seconds: f64 }
+    SupervisorState {
+        rng: u64, last_good: Option<f64>, bad_streak: u32, calibration: Option<StepCalibration>,
+        boost: f64, gain_scale: f64, sag_latched: bool,
+    }
+    HistogramSnapshot { buckets: Vec<u64>, count: u64, sum: f64 }
+    TelemetryCheckpoint {
+        idle_steps: u64, step_modeled: HistogramSnapshot, deadline_headroom: HistogramSnapshot,
+    }
+    Checkpoint {
+        turn: u64, time_s: f64, supervised: bool, kind: EngineKind, bunches: u32,
+        engine: EngineState, controller: ControllerState, injector: FaultInjectorState,
+        supervisor: Option<SupervisorState>, ctrl_phase_rad: f64, last_jump_deg: f64, rows: u64,
+        events: u64, jumps: u64, log_bytes: u64, telemetry: Option<TelemetryCheckpoint>,
     }
 }
 
-fn dec_engine_kind(d: &mut Dec) -> R<EngineKind> {
-    Ok(match d.u8()? {
-        0 => EngineKind::Map,
-        1 => EngineKind::Cgra,
-        2 => EngineKind::RefTrack {
-            particles: d.usize()?,
-            seed: d.u64()?,
-        },
-        _ => return Err(CheckpointError::Malformed("engine kind tag out of range")),
-    })
-}
-
-fn enc_cavity(e: &mut Enc, c: &CavityPlantState) {
-    e.f64(c.boost);
-    e.f64(c.phase_rad);
-}
-
-fn dec_cavity(d: &mut Dec) -> R<CavityPlantState> {
-    Ok(CavityPlantState {
-        boost: d.f64()?,
-        phase_rad: d.f64()?,
-    })
-}
-
-fn enc_turn(e: &mut Enc, t: &TurnStateSnapshot) {
-    e.f64(t.time);
-    e.f64(t.ctrl_phase_rad);
-    e.f64(t.applied_jump_deg);
-    enc_cavity(e, &t.cavity);
-}
-
-fn dec_turn(d: &mut Dec) -> R<TurnStateSnapshot> {
-    Ok(TurnStateSnapshot {
-        time: d.f64()?,
-        ctrl_phase_rad: d.f64()?,
-        applied_jump_deg: d.f64()?,
-        cavity: dec_cavity(d)?,
-    })
-}
-
-fn enc_executor(e: &mut Enc, s: &ExecutorState) {
-    e.f64s(&s.regs);
-    e.u64(s.iterations);
-}
-
-fn dec_executor(d: &mut Dec) -> R<ExecutorState> {
-    Ok(ExecutorState {
-        regs: d.f64s()?,
-        iterations: d.u64()?,
-    })
-}
-
-fn enc_dds(e: &mut Enc, s: &DdsState) {
-    e.u64(s.acc);
-    e.u64(s.increment);
-    e.f64(s.amplitude);
-    e.bool(s.dropout);
-}
-
-fn dec_dds(d: &mut Dec) -> R<DdsState> {
-    Ok(DdsState {
-        acc: d.u64()?,
-        increment: d.u64()?,
-        amplitude: d.f64()?,
-        dropout: d.bool()?,
-    })
-}
-
-fn enc_ring(e: &mut Enc, s: &RingBufferState) {
-    e.f64s(&s.data);
-    e.usize(s.head);
-    e.u64(s.written);
-}
-
-fn dec_ring(d: &mut Dec) -> R<RingBufferState> {
-    Ok(RingBufferState {
-        data: d.f64s()?,
-        head: d.usize()?,
-        written: d.u64()?,
-    })
-}
-
-fn enc_zcd(e: &mut Enc, s: &ZeroCrossingState) {
-    e.f64(s.last_sample);
-    e.u64(s.sample_index);
-    e.opt(&s.last_crossing, |e, &v| e.u64(v));
-    e.f64(s.last_crossing_frac);
-    e.bool(s.armed);
-    e.u64(s.crossings_seen);
-}
-
-fn dec_zcd(d: &mut Dec) -> R<ZeroCrossingState> {
-    Ok(ZeroCrossingState {
-        last_sample: d.f64()?,
-        sample_index: d.u64()?,
-        last_crossing: d.opt(Dec::u64)?,
-        last_crossing_frac: d.f64()?,
-        armed: d.bool()?,
-        crossings_seen: d.u64()?,
-    })
-}
-
-fn enc_period(e: &mut Enc, s: &PeriodDetectorState) {
-    enc_zcd(e, &s.zcd);
-    e.f64s(&s.history);
-    e.usize(s.cursor);
-    e.usize(s.filled);
-    e.opt(&s.last_crossing, |e, &v| e.f64(v));
-}
-
-fn dec_period(d: &mut Dec) -> R<PeriodDetectorState> {
-    Ok(PeriodDetectorState {
-        zcd: dec_zcd(d)?,
-        history: d.f64s()?,
-        cursor: d.usize()?,
-        filled: d.usize()?,
-        last_crossing: d.opt(Dec::f64)?,
-    })
-}
-
-fn enc_gauss(e: &mut Enc, s: &GaussPulseState) {
-    e.opt(&s.playing, |e, &v| e.usize(v));
-    e.u64s(&s.armed_at);
-    e.u64(s.now);
-    e.f64(s.amplitude);
-}
-
-fn dec_gauss(d: &mut Dec) -> R<GaussPulseState> {
-    Ok(GaussPulseState {
-        playing: d.opt(Dec::usize)?,
-        armed_at: d.u64s()?,
-        now: d.u64()?,
-        amplitude: d.f64()?,
-    })
-}
-
-fn enc_fir(e: &mut Enc, s: &FirState) {
-    e.f64s(&s.delay);
-    e.usize(s.cursor);
-}
-
-fn dec_fir(d: &mut Dec) -> R<FirState> {
-    Ok(FirState {
-        delay: d.f64s()?,
-        cursor: d.usize()?,
-    })
-}
-
-fn enc_phase_detector(e: &mut Enc, s: &PhaseDetectorState) {
-    enc_zcd(e, &s.zcd);
-    e.f64(s.period_samples);
-    e.bool(s.in_pulse);
-    e.f64(s.acc_weight);
-    e.f64(s.acc_moment);
-    e.u64(s.pulse_start);
-    e.u64(s.sample_index);
-    e.opt(&s.last_ref_crossing, |e, &v| e.f64(v));
-    e.u64(s.dropped);
-    e.bool(s.resync);
-    e.bool(s.suppress_pulse);
-}
-
-fn dec_phase_detector(d: &mut Dec) -> R<PhaseDetectorState> {
-    Ok(PhaseDetectorState {
-        zcd: dec_zcd(d)?,
-        period_samples: d.f64()?,
-        in_pulse: d.bool()?,
-        acc_weight: d.f64()?,
-        acc_moment: d.f64()?,
-        pulse_start: d.u64()?,
-        sample_index: d.u64()?,
-        last_ref_crossing: d.opt(Dec::f64)?,
-        dropped: d.u64()?,
-        resync: d.bool()?,
-        suppress_pulse: d.bool()?,
-    })
-}
-
-fn enc_adc_fault(e: &mut Enc, f: &AdcFault) {
-    match *f {
-        AdcFault::Saturated => e.u8(0),
-        AdcFault::StuckCode(code) => {
-            e.u8(1);
-            e.i64(i64::from(code));
-        }
-        AdcFault::BitFlip(bit) => {
-            e.u8(2);
-            e.u32(bit);
-        }
+codec_enum! {
+    EngineKind { 0 => Map, 1 => Cgra, 2 => RefTrack { particles: usize, seed: u64 } }
+    AdcFault { 0 => Saturated, 1 => StuckCode(code: i32), 2 => BitFlip(bit: u32) }
+    EngineState {
+        0 => Map(s: MapEngineState),
+        1 => Cgra(s: CgraEngineState),
+        2 => RefTrack(s: RefTrackEngineState),
+        3 => Ramp(s: RampEngineState),
+        4 => SignalLevel(s: Box<SignalLevelEngineState>),
     }
-}
-
-fn dec_adc_fault(d: &mut Dec) -> R<AdcFault> {
-    Ok(match d.u8()? {
-        0 => AdcFault::Saturated,
-        1 => {
-            let code = d.i64()?;
-            AdcFault::StuckCode(
-                i32::try_from(code)
-                    .map_err(|_| CheckpointError::Malformed("stuck code exceeds i32"))?,
-            )
-        }
-        2 => AdcFault::BitFlip(d.u32()?),
-        _ => return Err(CheckpointError::Malformed("ADC fault tag out of range")),
-    })
-}
-
-fn enc_bench(e: &mut Enc, s: &SignalBenchState) {
-    enc_dds(e, &s.reference);
-    enc_dds(e, &s.gap);
-    e.u64(s.sample);
-    e.f64(s.applied_jump_deg);
-    e.f64(s.ctrl_freq_offset);
-    e.f64(s.cavity_scale);
-    e.f64(s.cavity_detune_hz);
-}
-
-fn dec_bench(d: &mut Dec) -> R<SignalBenchState> {
-    Ok(SignalBenchState {
-        reference: dec_dds(d)?,
-        gap: dec_dds(d)?,
-        sample: d.u64()?,
-        applied_jump_deg: d.f64()?,
-        ctrl_freq_offset: d.f64()?,
-        cavity_scale: d.f64()?,
-        cavity_detune_hz: d.f64()?,
-    })
-}
-
-fn enc_framework(e: &mut Enc, s: &FrameworkState) {
-    enc_executor(e, &s.executor);
-    enc_ring(e, &s.ref_buffer);
-    enc_ring(e, &s.gap_buffer);
-    enc_period(e, &s.period);
-    e.usize(s.pulses.len());
-    for p in &s.pulses {
-        enc_gauss(e, p);
+    FaultKind {
+        0 => AdcSaturation,
+        1 => AdcStuckCode { code: i32 },
+        2 => AdcBitFlip { bit: u32 },
+        3 => DdsDropout,
+        4 => DetectorOutlier { probability: f64, amplitude_deg: f64 },
+        5 => NanBurst { probability: f64 },
+        6 => BeamLoss,
+        7 => DeadlineOverrun { factor: f64 },
+        8 => CavityDetune { drift_hz_per_s: f64 },
+        9 => CavityQuench { collapse_s: f64 },
+        10 => CavityTrip { recover_s: f64 },
     }
-    e.u64(s.sample);
-    e.opt(&s.last_crossing_sample, |e, &v| e.u64(v));
-    e.opt(&s.prev_crossing_sample, |e, &v| e.u64(v));
-    e.f64s(&s.last_dt);
-    e.f64(s.monitor_value);
-    e.bool(s.warmed_up);
-    e.bool(s.recording);
-    e.u64(s.revolutions);
-    e.u64(s.adc_rng);
-    e.opt(&s.adc_fault, enc_adc_fault);
-}
-
-fn dec_framework(d: &mut Dec) -> R<FrameworkState> {
-    let executor = dec_executor(d)?;
-    let ref_buffer = dec_ring(d)?;
-    let gap_buffer = dec_ring(d)?;
-    let period = dec_period(d)?;
-    let n_pulses = d.len_capped(8)?;
-    let pulses = (0..n_pulses).map(|_| dec_gauss(d)).collect::<R<Vec<_>>>()?;
-    Ok(FrameworkState {
-        executor,
-        ref_buffer,
-        gap_buffer,
-        period,
-        pulses,
-        sample: d.u64()?,
-        last_crossing_sample: d.opt(Dec::u64)?,
-        prev_crossing_sample: d.opt(Dec::u64)?,
-        last_dt: d.f64s()?,
-        monitor_value: d.f64()?,
-        warmed_up: d.bool()?,
-        recording: d.bool()?,
-        revolutions: d.u64()?,
-        adc_rng: d.u64()?,
-        adc_fault: d.opt(dec_adc_fault)?,
-    })
-}
-
-fn enc_engine_state(e: &mut Enc, s: &EngineState) {
-    match s {
-        EngineState::Map(m) => {
-            e.u8(0);
-            e.f64(m.gamma_r);
-            e.f64(m.dgamma);
-            e.f64(m.dt);
-            enc_turn(e, &m.turn);
-        }
-        EngineState::Cgra(c) => {
-            e.u8(1);
-            enc_executor(e, &c.executor);
-            e.f64(c.gap_phase_rad);
-            e.bool(c.gap_dropout);
-            e.f64s(&c.dt_out);
-            enc_turn(e, &c.turn);
-        }
-        EngineState::RefTrack(r) => {
-            e.u8(2);
-            e.f64s(&r.dt);
-            e.f64s(&r.dgamma);
-            e.u64(r.tracker_turn);
-            enc_turn(e, &r.turn);
-        }
-        EngineState::Ramp(r) => {
-            e.u8(3);
-            e.f64(r.gamma_r);
-            e.f64(r.dgamma);
-            e.f64(r.dt);
-            e.f64(r.time);
-            e.u64(r.tracker_turn);
-            e.f64(r.ctrl_phase_rad);
-            e.f64(r.applied_jump_deg);
-            e.f64(r.last_f_rev);
-            e.f64(r.last_gamma_r);
-            e.f64(r.last_phi_s_deg);
-        }
-        EngineState::SignalLevel(s) => {
-            e.u8(4);
-            enc_bench(e, &s.bench);
-            enc_framework(e, &s.fw);
-            enc_phase_detector(e, &s.detector);
-            e.f64(s.period_samples);
-            e.u64(s.sample);
-            e.u64(s.period_admitted);
-            e.u64(s.period_rejected);
-            enc_cavity(e, &s.cavity);
-        }
+    LossCause {
+        0 => Injected, 1 => NonFinitePhase, 2 => BucketOverdemand, 3 => OutOfBucket,
+        4 => Watchdog, 5 => CavityFault,
     }
-}
-
-fn dec_engine_state(d: &mut Dec) -> R<EngineState> {
-    Ok(match d.u8()? {
-        0 => EngineState::Map(MapEngineState {
-            gamma_r: d.f64()?,
-            dgamma: d.f64()?,
-            dt: d.f64()?,
-            turn: dec_turn(d)?,
-        }),
-        1 => EngineState::Cgra(CgraEngineState {
-            executor: dec_executor(d)?,
-            gap_phase_rad: d.f64()?,
-            gap_dropout: d.bool()?,
-            dt_out: d.f64s()?,
-            turn: dec_turn(d)?,
-        }),
-        2 => EngineState::RefTrack(RefTrackEngineState {
-            dt: d.f64s()?,
-            dgamma: d.f64s()?,
-            tracker_turn: d.u64()?,
-            turn: dec_turn(d)?,
-        }),
-        3 => EngineState::Ramp(RampEngineState {
-            gamma_r: d.f64()?,
-            dgamma: d.f64()?,
-            dt: d.f64()?,
-            time: d.f64()?,
-            tracker_turn: d.u64()?,
-            ctrl_phase_rad: d.f64()?,
-            applied_jump_deg: d.f64()?,
-            last_f_rev: d.f64()?,
-            last_gamma_r: d.f64()?,
-            last_phi_s_deg: d.f64()?,
-        }),
-        4 => EngineState::SignalLevel(Box::new(SignalLevelEngineState {
-            bench: dec_bench(d)?,
-            fw: dec_framework(d)?,
-            detector: dec_phase_detector(d)?,
-            period_samples: d.f64()?,
-            sample: d.u64()?,
-            period_admitted: d.u64()?,
-            period_rejected: d.u64()?,
-            cavity: dec_cavity(d)?,
-        })),
-        _ => return Err(CheckpointError::Malformed("engine state tag out of range")),
-    })
-}
-
-fn enc_controller(e: &mut Enc, s: &ControllerState) {
-    e.f64(s.dc_x1);
-    e.f64(s.dc_y1);
-    enc_fir(e, &s.fir);
-    e.f64(s.acc);
-    e.u32(s.acc_n);
-    e.f64(s.last_output);
-    e.bool(s.enabled);
-    e.f64(s.gain_scale);
-}
-
-fn dec_controller(d: &mut Dec) -> R<ControllerState> {
-    Ok(ControllerState {
-        dc_x1: d.f64()?,
-        dc_y1: d.f64()?,
-        fir: dec_fir(d)?,
-        acc: d.f64()?,
-        acc_n: d.u32()?,
-        last_output: d.f64()?,
-        enabled: d.bool()?,
-        gain_scale: d.f64()?,
-    })
-}
-
-fn enc_injector(e: &mut Enc, s: &FaultInjectorState) {
-    e.u64(s.rng);
-    e.bools(&s.activated);
-    e.usize(s.corrupted_rows);
-}
-
-fn dec_injector(d: &mut Dec) -> R<FaultInjectorState> {
-    Ok(FaultInjectorState {
-        rng: d.u64()?,
-        activated: d.bools()?,
-        corrupted_rows: d.usize()?,
-    })
-}
-
-fn enc_supervisor(e: &mut Enc, s: &SupervisorState) {
-    e.u64(s.rng);
-    e.opt(&s.last_good, |e, &v| e.f64(v));
-    e.u32(s.bad_streak);
-    e.opt(&s.calibration, |e, c| {
-        enc_engine_kind(e, &c.kind);
-        e.f64(c.step_seconds);
-    });
-    e.f64(s.boost);
-    e.f64(s.gain_scale);
-    e.bool(s.sag_latched);
-}
-
-fn dec_supervisor(d: &mut Dec) -> R<SupervisorState> {
-    Ok(SupervisorState {
-        rng: d.u64()?,
-        last_good: d.opt(Dec::f64)?,
-        bad_streak: d.u32()?,
-        calibration: d.opt(|d| {
-            Ok(StepCalibration {
-                kind: dec_engine_kind(d)?,
-                step_seconds: d.f64()?,
-            })
-        })?,
-        boost: d.f64()?,
-        gain_scale: d.f64()?,
-        sag_latched: d.bool()?,
-    })
-}
-
-fn enc_histogram(e: &mut Enc, s: &HistogramSnapshot) {
-    e.u64s(&s.buckets);
-    e.u64(s.count);
-    e.f64(s.sum);
-}
-
-fn dec_histogram(d: &mut Dec) -> R<HistogramSnapshot> {
-    Ok(HistogramSnapshot {
-        buckets: d.u64s()?,
-        count: d.u64()?,
-        sum: d.f64()?,
-    })
-}
-
-fn enc_fault_kind(e: &mut Enc, k: &FaultKind) {
-    match *k {
-        FaultKind::AdcSaturation => e.u8(0),
-        FaultKind::AdcStuckCode { code } => {
-            e.u8(1);
-            e.i64(i64::from(code));
-        }
-        FaultKind::AdcBitFlip { bit } => {
-            e.u8(2);
-            e.u32(bit);
-        }
-        FaultKind::DdsDropout => e.u8(3),
-        FaultKind::DetectorOutlier {
-            probability,
-            amplitude_deg,
-        } => {
-            e.u8(4);
-            e.f64(probability);
-            e.f64(amplitude_deg);
-        }
-        FaultKind::NanBurst { probability } => {
-            e.u8(5);
-            e.f64(probability);
-        }
-        FaultKind::BeamLoss => e.u8(6),
-        FaultKind::DeadlineOverrun { factor } => {
-            e.u8(7);
-            e.f64(factor);
-        }
-        FaultKind::CavityDetune { drift_hz_per_s } => {
-            e.u8(8);
-            e.f64(drift_hz_per_s);
-        }
-        FaultKind::CavityQuench { collapse_s } => {
-            e.u8(9);
-            e.f64(collapse_s);
-        }
-        FaultKind::CavityTrip { recover_s } => {
-            e.u8(10);
-            e.f64(recover_s);
-        }
+    LoopEvent {
+        0 => FaultActive { turn: usize, time_s: f64, kind: FaultKind },
+        1 => RowCorrupted { turn: usize, time_s: f64 },
+        2 => OutlierRejected { turn: usize, time_s: f64, measured_deg: f64, held_deg: f64 },
+        3 => ActuationClamped { turn: usize, time_s: f64, raw_hz: f64, limit_hz: f64 },
+        4 => DeadlineOverrun { turn: usize, time_s: f64, budget_s: f64, modeled_s: f64 },
+        5 => EngineDemoted { turn: usize, time_s: f64, from: EngineKind, to: EngineKind },
+        6 => BeamLost { turn: usize, time_s: f64, cause: LossCause },
+        7 => CheckpointRejected { turn: usize, time_s: f64 },
+        8 => CavitySagDetected { turn: usize, time_s: f64, voltage_scale: f64 },
+        9 => CompensationEngaged { turn: usize, time_s: f64, boost: f64, gain_scale: f64 },
     }
-}
-
-fn dec_fault_kind(d: &mut Dec) -> R<FaultKind> {
-    Ok(match d.u8()? {
-        0 => FaultKind::AdcSaturation,
-        1 => {
-            let code = d.i64()?;
-            FaultKind::AdcStuckCode {
-                code: i32::try_from(code)
-                    .map_err(|_| CheckpointError::Malformed("stuck code exceeds i32"))?,
-            }
-        }
-        2 => FaultKind::AdcBitFlip { bit: d.u32()? },
-        3 => FaultKind::DdsDropout,
-        4 => FaultKind::DetectorOutlier {
-            probability: d.f64()?,
-            amplitude_deg: d.f64()?,
-        },
-        5 => FaultKind::NanBurst {
-            probability: d.f64()?,
-        },
-        6 => FaultKind::BeamLoss,
-        7 => FaultKind::DeadlineOverrun { factor: d.f64()? },
-        8 => FaultKind::CavityDetune {
-            drift_hz_per_s: d.f64()?,
-        },
-        9 => FaultKind::CavityQuench {
-            collapse_s: d.f64()?,
-        },
-        10 => FaultKind::CavityTrip {
-            recover_s: d.f64()?,
-        },
-        _ => return Err(CheckpointError::Malformed("fault kind tag out of range")),
-    })
-}
-
-fn enc_loss_cause(e: &mut Enc, c: &LossCause) {
-    e.u8(match c {
-        LossCause::Injected => 0,
-        LossCause::NonFinitePhase => 1,
-        LossCause::BucketOverdemand => 2,
-        LossCause::OutOfBucket => 3,
-        LossCause::Watchdog => 4,
-        LossCause::CavityFault => 5,
-    });
-}
-
-fn dec_loss_cause(d: &mut Dec) -> R<LossCause> {
-    Ok(match d.u8()? {
-        0 => LossCause::Injected,
-        1 => LossCause::NonFinitePhase,
-        2 => LossCause::BucketOverdemand,
-        3 => LossCause::OutOfBucket,
-        4 => LossCause::Watchdog,
-        5 => LossCause::CavityFault,
-        _ => return Err(CheckpointError::Malformed("loss cause tag out of range")),
-    })
-}
-
-fn enc_event(e: &mut Enc, ev: &LoopEvent) {
-    match *ev {
-        LoopEvent::FaultActive { turn, time_s, kind } => {
-            e.u8(0);
-            e.usize(turn);
-            e.f64(time_s);
-            enc_fault_kind(e, &kind);
-        }
-        LoopEvent::RowCorrupted { turn, time_s } => {
-            e.u8(1);
-            e.usize(turn);
-            e.f64(time_s);
-        }
-        LoopEvent::OutlierRejected {
-            turn,
-            time_s,
-            measured_deg,
-            held_deg,
-        } => {
-            e.u8(2);
-            e.usize(turn);
-            e.f64(time_s);
-            e.f64(measured_deg);
-            e.f64(held_deg);
-        }
-        LoopEvent::ActuationClamped {
-            turn,
-            time_s,
-            raw_hz,
-            limit_hz,
-        } => {
-            e.u8(3);
-            e.usize(turn);
-            e.f64(time_s);
-            e.f64(raw_hz);
-            e.f64(limit_hz);
-        }
-        LoopEvent::DeadlineOverrun {
-            turn,
-            time_s,
-            budget_s,
-            modeled_s,
-        } => {
-            e.u8(4);
-            e.usize(turn);
-            e.f64(time_s);
-            e.f64(budget_s);
-            e.f64(modeled_s);
-        }
-        LoopEvent::EngineDemoted {
-            turn,
-            time_s,
-            from,
-            to,
-        } => {
-            e.u8(5);
-            e.usize(turn);
-            e.f64(time_s);
-            enc_engine_kind(e, &from);
-            enc_engine_kind(e, &to);
-        }
-        LoopEvent::BeamLost {
-            turn,
-            time_s,
-            cause,
-        } => {
-            e.u8(6);
-            e.usize(turn);
-            e.f64(time_s);
-            enc_loss_cause(e, &cause);
-        }
-        LoopEvent::CheckpointRejected { turn, time_s } => {
-            e.u8(7);
-            e.usize(turn);
-            e.f64(time_s);
-        }
-        LoopEvent::CavitySagDetected {
-            turn,
-            time_s,
-            voltage_scale,
-        } => {
-            e.u8(8);
-            e.usize(turn);
-            e.f64(time_s);
-            e.f64(voltage_scale);
-        }
-        LoopEvent::CompensationEngaged {
-            turn,
-            time_s,
-            boost,
-            gain_scale,
-        } => {
-            e.u8(9);
-            e.usize(turn);
-            e.f64(time_s);
-            e.f64(boost);
-            e.f64(gain_scale);
-        }
-    }
-}
-
-fn dec_event(d: &mut Dec) -> R<LoopEvent> {
-    Ok(match d.u8()? {
-        0 => LoopEvent::FaultActive {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-            kind: dec_fault_kind(d)?,
-        },
-        1 => LoopEvent::RowCorrupted {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-        },
-        2 => LoopEvent::OutlierRejected {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-            measured_deg: d.f64()?,
-            held_deg: d.f64()?,
-        },
-        3 => LoopEvent::ActuationClamped {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-            raw_hz: d.f64()?,
-            limit_hz: d.f64()?,
-        },
-        4 => LoopEvent::DeadlineOverrun {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-            budget_s: d.f64()?,
-            modeled_s: d.f64()?,
-        },
-        5 => LoopEvent::EngineDemoted {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-            from: dec_engine_kind(d)?,
-            to: dec_engine_kind(d)?,
-        },
-        6 => LoopEvent::BeamLost {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-            cause: dec_loss_cause(d)?,
-        },
-        7 => LoopEvent::CheckpointRejected {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-        },
-        8 => LoopEvent::CavitySagDetected {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-            voltage_scale: d.f64()?,
-        },
-        9 => LoopEvent::CompensationEngaged {
-            turn: d.usize()?,
-            time_s: d.f64()?,
-            boost: d.f64()?,
-            gain_scale: d.f64()?,
-        },
-        _ => return Err(CheckpointError::Malformed("event tag out of range")),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1179,26 +751,7 @@ pub struct Checkpoint {
 /// (magic + version + length + payload + CRC-32).
 pub fn encode_snapshot(ck: &Checkpoint) -> Vec<u8> {
     let mut e = Enc::default();
-    e.u64(ck.turn);
-    e.f64(ck.time_s);
-    e.bool(ck.supervised);
-    enc_engine_kind(&mut e, &ck.kind);
-    e.u32(ck.bunches);
-    enc_engine_state(&mut e, &ck.engine);
-    enc_controller(&mut e, &ck.controller);
-    enc_injector(&mut e, &ck.injector);
-    e.opt(&ck.supervisor.clone(), enc_supervisor);
-    e.f64(ck.ctrl_phase_rad);
-    e.f64(ck.last_jump_deg);
-    e.u64(ck.rows);
-    e.u64(ck.events);
-    e.u64(ck.jumps);
-    e.u64(ck.log_bytes);
-    e.opt(&ck.telemetry.clone(), |e, t| {
-        e.u64(t.idle_steps);
-        enc_histogram(e, &t.step_modeled);
-        enc_histogram(e, &t.deadline_headroom);
-    });
+    ck.enc(&mut e);
     let payload = e.buf;
 
     let mut out = Vec::with_capacity(payload.len() + 24);
@@ -1240,30 +793,7 @@ pub fn decode_snapshot(data: &[u8]) -> R<Checkpoint> {
     }
 
     let mut d = Dec::new(payload);
-    let ck = Checkpoint {
-        turn: d.u64()?,
-        time_s: d.f64()?,
-        supervised: d.bool()?,
-        kind: dec_engine_kind(&mut d)?,
-        bunches: d.u32()?,
-        engine: dec_engine_state(&mut d)?,
-        controller: dec_controller(&mut d)?,
-        injector: dec_injector(&mut d)?,
-        supervisor: d.opt(dec_supervisor)?,
-        ctrl_phase_rad: d.f64()?,
-        last_jump_deg: d.f64()?,
-        rows: d.u64()?,
-        events: d.u64()?,
-        jumps: d.u64()?,
-        log_bytes: d.u64()?,
-        telemetry: d.opt(|d| {
-            Ok(TelemetryCheckpoint {
-                idle_steps: d.u64()?,
-                step_modeled: dec_histogram(d)?,
-                deadline_headroom: dec_histogram(d)?,
-            })
-        })?,
-    };
+    let ck = Checkpoint::dec(&mut d)?;
     d.finish()?;
     Ok(ck)
 }
@@ -1272,57 +802,39 @@ pub fn decode_snapshot(data: &[u8]) -> R<Checkpoint> {
 // Trace-log delta blocks
 // ---------------------------------------------------------------------------
 
+/// One delta block: bunch count, then the rows (time, one phase per bunch,
+/// mean phase, actuation), then the audit events and the jump edges, each
+/// run behind a `u32` count.
 pub(crate) fn encode_trace_block(
     trace: &LoopTrace,
     rows_from: usize,
     events_from: usize,
     jumps_from: usize,
 ) -> Vec<u8> {
-    let bunches = trace.bunch_phase_deg.len();
     let rows_to = trace.times.len();
     let mut e = Enc::default();
-    e.u32(bunches as u32);
-    e.u32((rows_to - rows_from) as u32);
+    (trace.bunch_phase_deg.len() as u32).enc(&mut e);
+    ((rows_to - rows_from) as u32).enc(&mut e);
     for row in rows_from..rows_to {
-        e.f64(trace.times[row]);
-        for b in 0..bunches {
-            e.f64(trace.bunch_phase_deg[b][row]);
+        trace.times[row].enc(&mut e);
+        for series in &trace.bunch_phase_deg {
+            series[row].enc(&mut e);
         }
-        e.f64(trace.mean_phase_deg[row]);
-        e.f64(trace.control_hz[row]);
+        trace.mean_phase_deg[row].enc(&mut e);
+        trace.control_hz[row].enc(&mut e);
     }
-    e.u32((trace.events.len() - events_from) as u32);
-    for ev in &trace.events[events_from..] {
-        enc_event(&mut e, ev);
-    }
-    e.u32((trace.jump_times.len() - jumps_from) as u32);
-    for &t in &trace.jump_times[jumps_from..] {
-        e.f64(t);
-    }
+    e.run32(&trace.events[events_from..]);
+    e.run32(&trace.jump_times[jumps_from..]);
     frame_block(BLOCK_MAGIC, &e.buf)
 }
 
-/// Trace prefix reconstructed from the write-ahead log.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DecodedTrace {
-    /// Row times, seconds.
-    pub times: Vec<f64>,
-    /// Per-bunch phase series, `[bunch][row]`.
-    pub bunch_phase_deg: Vec<Vec<f64>>,
-    /// Pickup-average series.
-    pub mean_phase_deg: Vec<f64>,
-    /// Actuation series, Hz.
-    pub control_hz: Vec<f64>,
-    /// Jump-edge times.
-    pub jump_times: Vec<f64>,
-    /// Audit events.
-    pub events: Vec<LoopEvent>,
-}
-
-/// Decode the framed delta blocks in a trace-log prefix. Used by recovery
-/// (and directly by the fuzz tests).
-pub fn decode_trace_log(bytes: &[u8]) -> R<DecodedTrace> {
-    let mut out = DecodedTrace::default();
+/// Decode the framed delta blocks in a trace-log prefix written for
+/// `bunches` bunches. Pass a bunch count already checked against the
+/// scenario (the snapshot's, once it matched): a block declaring any other
+/// count is rejected, so a hostile count never sizes an allocation. Used
+/// by recovery (and directly by the fuzz tests).
+pub fn decode_trace_log(bytes: &[u8], bunches: usize) -> R<LoopTrace> {
+    let mut out = LoopTrace::empty(bunches);
     let mut pos = 0usize;
     while let Some((payload, next)) = next_frame(bytes, pos, BLOCK_MAGIC)? {
         decode_trace_block(payload, &mut out)?;
@@ -1331,43 +843,25 @@ pub fn decode_trace_log(bytes: &[u8]) -> R<DecodedTrace> {
     Ok(out)
 }
 
-fn decode_trace_block(payload: &[u8], out: &mut DecodedTrace) -> R<()> {
+fn decode_trace_block(payload: &[u8], out: &mut LoopTrace) -> R<()> {
     let mut d = Dec::new(payload);
-    let bunches = d.u32()? as usize;
-    if out.bunch_phase_deg.is_empty() {
-        out.bunch_phase_deg = vec![Vec::new(); bunches];
-    } else if out.bunch_phase_deg.len() != bunches {
+    let bunches = out.bunch_phase_deg.len();
+    if u32::dec(&mut d)? as usize != bunches {
         return Err(CheckpointError::Malformed(
-            "bunch count changed across blocks",
+            "block bunch count differs from the snapshot",
         ));
     }
-    let n_rows = d.u32()? as usize;
-    let row_bytes = 8usize.saturating_mul(bunches + 3);
-    if n_rows.saturating_mul(row_bytes) > d.remaining() {
-        return Err(CheckpointError::Malformed("row count exceeds payload"));
-    }
+    let n_rows = d.count::<u32>(8 * (bunches + 3))?;
     for _ in 0..n_rows {
-        out.times.push(d.f64()?);
+        out.times.push(f64::dec(&mut d)?);
         for series in out.bunch_phase_deg.iter_mut() {
-            series.push(d.f64()?);
+            series.push(f64::dec(&mut d)?);
         }
-        out.mean_phase_deg.push(d.f64()?);
-        out.control_hz.push(d.f64()?);
+        out.mean_phase_deg.push(f64::dec(&mut d)?);
+        out.control_hz.push(f64::dec(&mut d)?);
     }
-    let n_events = d.u32()? as usize;
-    if n_events.saturating_mul(9) > d.remaining() {
-        return Err(CheckpointError::Malformed("event count exceeds payload"));
-    }
-    for _ in 0..n_events {
-        out.events.push(dec_event(&mut d)?);
-    }
-    let n_jumps = d.u32()? as usize;
-    if n_jumps.saturating_mul(8) > d.remaining() {
-        return Err(CheckpointError::Malformed("jump count exceeds payload"));
-    }
-    for _ in 0..n_jumps {
-        out.jump_times.push(d.f64()?);
-    }
+    out.events.extend(d.run32::<LoopEvent>()?);
+    out.jump_times.extend(d.run32::<f64>()?);
     d.finish()
 }
 
@@ -1377,18 +871,13 @@ fn decode_trace_block(payload: &[u8], out: &mut DecodedTrace) -> R<()> {
 
 /// Write a snapshot atomically: temp file in the same directory, then
 /// rename over the final name. A crash mid-write leaves either the old
-/// file set or a stray temp file — never a half-written `ckpt_*.cil`.
-pub fn write_snapshot_file(dir: &Path, ck: &Checkpoint) -> R<PathBuf> {
-    write_snapshot_file_opts(dir, ck, false)
-}
-
-/// [`write_snapshot_file`] with an explicit durability choice: when `fsync`
-/// is set the temp file is synced to stable storage *before* the rename, so
-/// the rename can never promote data the disk has not yet seen.
-pub fn write_snapshot_file_opts(dir: &Path, ck: &Checkpoint, fsync: bool) -> R<PathBuf> {
+/// file set or a stray temp file — never a half-written `ckpt_*.cil`. When
+/// `fsync` is set the temp file is synced to stable storage *before* the
+/// rename, so the rename can never promote data the disk has not yet seen.
+pub fn write_snapshot_file(dir: &Path, ck: &Checkpoint, fsync: bool) -> R<PathBuf> {
     let bytes = encode_snapshot(ck);
     let tmp = dir.join(".ckpt.tmp");
-    let path = dir.join(format!("ckpt_{:010}.cil", ck.turn));
+    let path = snapshot_path(dir, ck.turn);
     {
         let mut f = File::create(&tmp)?;
         f.write_all(&bytes)?;
@@ -1494,7 +983,7 @@ pub(crate) struct ResumedState {
     /// The chosen (newest good) snapshot.
     pub checkpoint: Checkpoint,
     /// Trace prefix covered by the snapshot's cut.
-    pub trace: DecodedTrace,
+    pub trace: LoopTrace,
     /// Snapshots newer than the chosen one that were rejected as
     /// corrupted/truncated/incompatible-with-their-log.
     pub rejected: usize,
@@ -1555,7 +1044,13 @@ impl CheckpointSession {
     /// prefix disagrees with the snapshot's row/event/jump totals), is
     /// rejected and the next older one is tried. The trace log is then
     /// truncated to the chosen cut, discarding any torn tail.
-    pub(crate) fn resume(cfg: &CheckpointConfig) -> R<ResumedState> {
+    ///
+    /// `bunches` is the bunch count of the engines the caller resumes. A
+    /// decodable snapshot written for another count ends recovery with
+    /// [`CheckpointError::Incompatible`] (the directory belongs to another
+    /// configuration; falling back would not help), and the log prefix is
+    /// only decoded once the snapshot's count has matched.
+    pub(crate) fn resume(cfg: &CheckpointConfig, bunches: usize) -> R<ResumedState> {
         let turns = snapshot_turns(&cfg.dir)?;
         if turns.is_empty() {
             return Err(CheckpointError::NoCheckpoint);
@@ -1564,13 +1059,14 @@ impl CheckpointSession {
         let log_all = fs::read(&log_path)?;
 
         let mut rejected = 0usize;
-        let mut chosen: Option<(Checkpoint, DecodedTrace)> = None;
+        let mut chosen: Option<(Checkpoint, LoopTrace)> = None;
         for &turn in turns.iter().rev() {
-            match Self::try_load(&cfg.dir, turn, &log_all) {
+            match Self::try_load(&cfg.dir, turn, &log_all, bunches) {
                 Ok(pair) => {
                     chosen = Some(pair);
                     break;
                 }
+                Err(e @ CheckpointError::Incompatible(_)) => return Err(e),
                 Err(_) => rejected += 1,
             }
         }
@@ -1616,13 +1112,23 @@ impl CheckpointSession {
         })
     }
 
-    fn try_load(dir: &Path, turn: u64, log_all: &[u8]) -> R<(Checkpoint, DecodedTrace)> {
+    fn try_load(
+        dir: &Path,
+        turn: u64,
+        log_all: &[u8],
+        bunches: usize,
+    ) -> R<(Checkpoint, LoopTrace)> {
         let ck = read_snapshot_file(&snapshot_path(dir, turn))?;
+        if ck.bunches as usize != bunches {
+            return Err(CheckpointError::Incompatible(
+                "bunch count differs from the scenario",
+            ));
+        }
         let cut = usize::try_from(ck.log_bytes).map_err(|_| CheckpointError::LengthMismatch)?;
         if cut > log_all.len() {
             return Err(CheckpointError::LengthMismatch);
         }
-        let trace = decode_trace_log(&log_all[..cut])?;
+        let trace = decode_trace_log(&log_all[..cut], bunches)?;
         if trace.times.len() as u64 != ck.rows
             || trace.events.len() as u64 != ck.events
             || trace.jump_times.len() as u64 != ck.jumps
@@ -1683,7 +1189,7 @@ impl CheckpointSession {
         ck.events = self.events_flushed as u64;
         ck.jumps = self.jumps_flushed as u64;
         ck.log_bytes = self.log_bytes;
-        write_snapshot_file_opts(&self.dir, &ck, self.fsync)?;
+        write_snapshot_file(&self.dir, &ck, self.fsync)?;
         self.snapshots.push(ck.turn);
 
         while self.snapshots.len() > self.keep {
@@ -1703,8 +1209,131 @@ impl CheckpointSession {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// SplitMix64 stream behind [`Codec::arbitrary`].
+    pub(crate) struct Gen(u64);
+
+    impl Gen {
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// The codec properties for one value: `dec(enc(x)) == x` with the
+    /// re-encoded bytes identical (so `-0.0` counts), no
+    /// trailing bytes, every strict prefix of `enc(x)` an error, at least
+    /// `MIN_BYTES` bytes, and a `Vec<T>` declaring 2^60 elements rejected
+    /// by the length cap, i.e. before any allocation is sized from it.
+    pub(crate) fn check_codec<T: Codec + PartialEq + std::fmt::Debug>(x: &T) {
+        let mut e = Enc::default();
+        x.enc(&mut e);
+        let bytes = e.buf;
+        let mut d = Dec::new(&bytes);
+        let back = T::dec(&mut d).expect("round trip");
+        d.finish().expect("decode consumes every byte");
+        let mut again = Enc::default();
+        back.enc(&mut again);
+        assert_eq!(again.buf, bytes, "re-encoded bytes differ");
+        assert_eq!(back, *x);
+        for cut in 0..bytes.len() {
+            assert!(
+                T::dec(&mut Dec::new(&bytes[..cut])).is_err(),
+                "prefix of {cut}/{} bytes decoded",
+                bytes.len()
+            );
+        }
+        assert!(bytes.len() >= T::MIN_BYTES, "{} < MIN_BYTES", bytes.len());
+        let mut hostile = (1u64 << 60).to_le_bytes().to_vec();
+        hostile.extend_from_slice(&bytes);
+        assert!(matches!(
+            Vec::<T>::dec(&mut Dec::new(&hostile)),
+            Err(CheckpointError::Malformed(
+                "collection length exceeds payload"
+            ))
+        ));
+    }
+
+    /// [`check_codec`] over pseudo-random values of `T`.
+    pub(crate) fn check_type<T: Codec + PartialEq + std::fmt::Debug>() {
+        let mut g = Gen(0xC0DE_C0DE);
+        for _ in 0..96 {
+            check_codec(&T::arbitrary(&mut g));
+        }
+    }
+
+    #[test]
+    fn every_codec_type_satisfies_the_codec_properties() {
+        check_type::<u8>();
+        check_type::<u32>();
+        check_type::<u64>();
+        check_type::<i64>();
+        check_type::<f64>();
+        check_type::<bool>();
+        check_type::<usize>();
+        check_type::<i32>();
+        check_type::<String>();
+        check_type::<Option<u64>>();
+        check_type::<Vec<bool>>();
+        check_type::<Box<FirState>>();
+        check_type::<CavityPlantState>();
+        check_type::<TurnStateSnapshot>();
+        check_type::<ExecutorState>();
+        check_type::<DdsState>();
+        check_type::<RingBufferState>();
+        check_type::<ZeroCrossingState>();
+        check_type::<PeriodDetectorState>();
+        check_type::<GaussPulseState>();
+        check_type::<FirState>();
+        check_type::<PhaseDetectorState>();
+        check_type::<SignalBenchState>();
+        check_type::<FrameworkState>();
+        check_type::<MapEngineState>();
+        check_type::<CgraEngineState>();
+        check_type::<RefTrackEngineState>();
+        check_type::<RampEngineState>();
+        check_type::<SignalLevelEngineState>();
+        check_type::<ControllerState>();
+        check_type::<FaultInjectorState>();
+        check_type::<StepCalibration>();
+        check_type::<SupervisorState>();
+        check_type::<HistogramSnapshot>();
+        check_type::<TelemetryCheckpoint>();
+        check_type::<Checkpoint>();
+        check_type::<EngineKind>();
+        check_type::<AdcFault>();
+        check_type::<EngineState>();
+        check_type::<FaultKind>();
+        check_type::<LossCause>();
+        check_type::<LoopEvent>();
+    }
+
+    /// Every length cap is at least as strict as the literal it replaced.
+    #[test]
+    fn length_caps_are_no_looser_than_the_old_literals() {
+        // (derived bound, old literal) per capped element type.
+        let caps = [
+            (f64::MIN_BYTES, 8),
+            (u64::MIN_BYTES, 8),
+            (bool::MIN_BYTES, 1),
+            (LoopEvent::MIN_BYTES, 9),
+            (GaussPulseState::MIN_BYTES, 8),
+            (String::MIN_BYTES, 1),
+        ];
+        for (derived, literal) in caps {
+            assert!(derived >= literal, "{derived} < {literal}");
+        }
+        // Tag, turn and time of the smallest event variants.
+        assert_eq!(LoopEvent::MIN_BYTES, 17);
+    }
 
     fn sample_checkpoint() -> Checkpoint {
         Checkpoint {
@@ -1849,20 +1478,417 @@ mod tests {
         let mut log = encode_trace_block(&trace, 0, 0, 0);
         // Second delta: nothing new — an empty block must decode cleanly.
         log.extend_from_slice(&encode_trace_block(&trace, 3, 1, 1));
-        let back = decode_trace_log(&log).expect("decode");
+        let back = decode_trace_log(&log, 2).expect("decode");
         assert_eq!(back.times, trace.times);
         assert_eq!(back.bunch_phase_deg, trace.bunch_phase_deg);
         assert_eq!(back.events, trace.events);
         assert_eq!(back.jump_times, trace.jump_times);
     }
 
+    /// FNV-1a 64 of a byte string.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    fn turn_state(t: f64) -> TurnStateSnapshot {
+        TurnStateSnapshot {
+            time: t,
+            ctrl_phase_rad: -0.125,
+            applied_jump_deg: 8.0,
+            cavity: CavityPlantState {
+                boost: 1.5,
+                phase_rad: -0.0,
+            },
+        }
+    }
+
+    fn zcd(some: bool) -> ZeroCrossingState {
+        ZeroCrossingState {
+            last_sample: -0.5,
+            sample_index: 4096,
+            last_crossing: some.then_some(4000),
+            last_crossing_frac: 0.375,
+            armed: some,
+            crossings_seen: 17,
+        }
+    }
+
+    fn dds(acc: u64, dropout: bool) -> DdsState {
+        DdsState {
+            acc,
+            increment: 0x0123_4567_89AB_CDEF,
+            amplitude: 0.75,
+            dropout,
+        }
+    }
+
+    /// A signal-level engine state; `some` toggles every `Option` field.
+    fn signal_state(adc_fault: Option<AdcFault>, some: bool) -> EngineState {
+        let ring = |k: f64| RingBufferState {
+            data: vec![k, -k, f64::INFINITY],
+            head: 2,
+            written: 1 << 40,
+        };
+        EngineState::SignalLevel(Box::new(SignalLevelEngineState {
+            bench: SignalBenchState {
+                reference: dds(7, false),
+                gap: dds(u64::MAX, true),
+                sample: 123_456,
+                applied_jump_deg: -8.0,
+                ctrl_freq_offset: 12.5,
+                cavity_scale: 0.875,
+                cavity_detune_hz: -3.0,
+            },
+            fw: FrameworkState {
+                executor: ExecutorState {
+                    regs: vec![1.0, 2.0, -3.0],
+                    iterations: 99,
+                },
+                ref_buffer: ring(0.5),
+                gap_buffer: ring(-0.25),
+                period: PeriodDetectorState {
+                    zcd: zcd(some),
+                    history: vec![250.0, 250.5],
+                    cursor: 1,
+                    filled: 2,
+                    last_crossing: some.then_some(3999.5),
+                },
+                pulses: vec![
+                    GaussPulseState {
+                        playing: some.then_some(3),
+                        armed_at: vec![10, 20],
+                        now: 30,
+                        amplitude: 0.5,
+                    },
+                    GaussPulseState {
+                        playing: None,
+                        armed_at: Vec::new(),
+                        now: 31,
+                        amplitude: -0.5,
+                    },
+                ],
+                sample: 123_450,
+                last_crossing_sample: some.then_some(123_000),
+                prev_crossing_sample: some.then_some(122_750),
+                last_dt: vec![1e-9],
+                monitor_value: 0.0625,
+                warmed_up: true,
+                recording: some,
+                revolutions: 480,
+                adc_rng: 0xFEED_F00D,
+                adc_fault,
+            },
+            detector: PhaseDetectorState {
+                zcd: zcd(!some),
+                period_samples: 250.25,
+                in_pulse: some,
+                acc_weight: 3.5,
+                acc_moment: -1.25,
+                pulse_start: 122_990,
+                sample_index: 123_456,
+                last_ref_crossing: some.then_some(122_999.5),
+                dropped: 2,
+                resync: !some,
+                suppress_pulse: some,
+            },
+            period_samples: 250.0,
+            sample: 123_456,
+            period_admitted: 470,
+            period_rejected: 3,
+            cavity: CavityPlantState {
+                boost: 2.0,
+                phase_rad: 0.5,
+            },
+        }))
+    }
+
+    /// Checkpoints covering every `EngineState` variant, every `AdcFault`,
+    /// `None`/`Some` for each `Option` field and a `RefTrack` calibration.
+    fn golden_checkpoints() -> Vec<(&'static str, Checkpoint)> {
+        let reftrack = EngineKind::RefTrack {
+            particles: 64,
+            seed: 9,
+        };
+        let supervisor = |calibration: Option<StepCalibration>| SupervisorState {
+            rng: 42,
+            last_good: calibration.map(|_| 1.25),
+            bad_streak: 2,
+            calibration,
+            boost: 1.5,
+            gain_scale: 0.5,
+            sag_latched: calibration.is_some(),
+        };
+        let telemetry = TelemetryCheckpoint {
+            idle_steps: 11,
+            step_modeled: HistogramSnapshot {
+                buckets: vec![0, 1, 2],
+                count: 3,
+                sum: 0.5,
+            },
+            deadline_headroom: HistogramSnapshot {
+                buckets: Vec::new(),
+                count: 0,
+                sum: -0.0,
+            },
+        };
+        let base = |kind, engine| Checkpoint {
+            turn: 512,
+            time_s: 6.4e-4,
+            supervised: false,
+            kind,
+            bunches: 2,
+            engine,
+            controller: ControllerState {
+                dc_x1: 0.5,
+                dc_y1: -0.25,
+                fir: FirState {
+                    delay: vec![0.0, 1.0, 2.0],
+                    cursor: 1,
+                },
+                acc: 1.5,
+                acc_n: 3,
+                last_output: -120.0,
+                enabled: true,
+                gain_scale: 1.25,
+            },
+            injector: FaultInjectorState {
+                rng: 0xDEAD_BEEF,
+                activated: vec![true, false, true],
+                corrupted_rows: 7,
+            },
+            supervisor: None,
+            ctrl_phase_rad: 0.25,
+            last_jump_deg: 8.0,
+            rows: 512,
+            events: 3,
+            jumps: 1,
+            log_bytes: 9000,
+            telemetry: None,
+        };
+        let map = base(
+            EngineKind::Map,
+            EngineState::Map(MapEngineState {
+                gamma_r: 1.3,
+                dgamma: -2e-5,
+                dt: 3e-9,
+                turn: turn_state(1e-3),
+            }),
+        );
+        let mut cgra = base(
+            EngineKind::Cgra,
+            EngineState::Cgra(CgraEngineState {
+                executor: ExecutorState {
+                    regs: vec![0.5, -1.5, f64::NEG_INFINITY],
+                    iterations: 1 << 33,
+                },
+                gap_phase_rad: 0.75,
+                gap_dropout: true,
+                dt_out: vec![1e-9, 2e-9],
+                turn: turn_state(2e-3),
+            }),
+        );
+        cgra.supervised = true;
+        cgra.supervisor = Some(supervisor(None));
+        cgra.telemetry = Some(telemetry.clone());
+        let mut reftrack_ck = base(
+            reftrack,
+            EngineState::RefTrack(RefTrackEngineState {
+                dt: vec![1e-9, -2e-9],
+                dgamma: vec![1e-6, -1e-6],
+                tracker_turn: 512,
+                turn: turn_state(3e-3),
+            }),
+        );
+        reftrack_ck.supervised = true;
+        reftrack_ck.supervisor = Some(supervisor(Some(StepCalibration {
+            kind: reftrack,
+            step_seconds: 3.2e-6,
+        })));
+        let mut ramp = base(
+            EngineKind::Map,
+            EngineState::Ramp(RampEngineState {
+                gamma_r: 1.1,
+                dgamma: 1e-5,
+                dt: -1e-9,
+                time: 0.25,
+                tracker_turn: 200_000,
+                ctrl_phase_rad: 0.125,
+                applied_jump_deg: 0.0,
+                last_f_rev: 8e5,
+                last_gamma_r: 1.09,
+                last_phi_s_deg: 30.0,
+            }),
+        );
+        ramp.telemetry = Some(telemetry.clone());
+        let signal = |fault, some: bool| {
+            let mut ck = base(EngineKind::Map, signal_state(fault, some));
+            ck.bunches = 1;
+            if some {
+                ck.supervised = true;
+                ck.supervisor = Some(supervisor(Some(StepCalibration {
+                    kind: EngineKind::Cgra,
+                    step_seconds: 1e-5,
+                })));
+                ck.telemetry = Some(telemetry.clone());
+            }
+            ck
+        };
+        vec![
+            ("map", map),
+            ("cgra", cgra),
+            ("reftrack", reftrack_ck),
+            ("ramp", ramp),
+            ("signal_clean", signal(None, false)),
+            ("signal_saturated", signal(Some(AdcFault::Saturated), true)),
+            (
+                "signal_stuck",
+                signal(Some(AdcFault::StuckCode(-8192)), false),
+            ),
+            ("signal_bitflip", signal(Some(AdcFault::BitFlip(13)), true)),
+        ]
+    }
+
+    /// A trace holding every `LoopEvent`, `FaultKind` and `LossCause`.
+    fn golden_trace() -> LoopTrace {
+        let kinds = [
+            FaultKind::AdcSaturation,
+            FaultKind::AdcStuckCode { code: -7 },
+            FaultKind::AdcBitFlip { bit: 12 },
+            FaultKind::DdsDropout,
+            FaultKind::DetectorOutlier {
+                probability: 0.25,
+                amplitude_deg: 30.0,
+            },
+            FaultKind::NanBurst { probability: 0.5 },
+            FaultKind::BeamLoss,
+            FaultKind::DeadlineOverrun { factor: 3.0 },
+            FaultKind::CavityDetune {
+                drift_hz_per_s: -40.0,
+            },
+            FaultKind::CavityQuench { collapse_s: 0.05 },
+            FaultKind::CavityTrip { recover_s: 0.125 },
+        ];
+        let causes = [
+            LossCause::Injected,
+            LossCause::NonFinitePhase,
+            LossCause::BucketOverdemand,
+            LossCause::OutOfBucket,
+            LossCause::Watchdog,
+            LossCause::CavityFault,
+        ];
+        let mut events: Vec<LoopEvent> = kinds
+            .iter()
+            .enumerate()
+            .map(|(turn, &kind)| LoopEvent::FaultActive {
+                turn,
+                time_s: turn as f64 * 1e-6,
+                kind,
+            })
+            .collect();
+        events.extend(causes.iter().map(|&cause| LoopEvent::BeamLost {
+            turn: 20,
+            time_s: 2e-5,
+            cause,
+        }));
+        events.extend([
+            LoopEvent::RowCorrupted {
+                turn: 30,
+                time_s: 3e-5,
+            },
+            LoopEvent::OutlierRejected {
+                turn: 31,
+                time_s: 3.1e-5,
+                measured_deg: 90.0,
+                held_deg: 1.5,
+            },
+            LoopEvent::ActuationClamped {
+                turn: 32,
+                time_s: 3.2e-5,
+                raw_hz: 5000.0,
+                limit_hz: 2000.0,
+            },
+            LoopEvent::DeadlineOverrun {
+                turn: 33,
+                time_s: 3.3e-5,
+                budget_s: 1e-6,
+                modeled_s: 3e-6,
+            },
+            LoopEvent::EngineDemoted {
+                turn: 34,
+                time_s: 3.4e-5,
+                from: EngineKind::RefTrack {
+                    particles: 32768,
+                    seed: 5,
+                },
+                to: EngineKind::Cgra,
+            },
+            LoopEvent::EngineDemoted {
+                turn: 35,
+                time_s: 3.5e-5,
+                from: EngineKind::Cgra,
+                to: EngineKind::Map,
+            },
+            LoopEvent::CheckpointRejected {
+                turn: 36,
+                time_s: 3.6e-5,
+            },
+            LoopEvent::CavitySagDetected {
+                turn: 37,
+                time_s: 3.7e-5,
+                voltage_scale: 0.6,
+            },
+            LoopEvent::CompensationEngaged {
+                turn: 38,
+                time_s: 3.8e-5,
+                boost: 1.5,
+                gain_scale: 2.0,
+            },
+        ]);
+        LoopTrace {
+            times: vec![0.0, 1e-6, 2e-6],
+            bunch_phase_deg: vec![vec![0.1, 0.2, 0.3], vec![-0.1, -0.2, f64::NAN]],
+            mean_phase_deg: vec![0.0, 0.0, -0.0],
+            control_hz: vec![5.0, -5.0, 0.0],
+            jump_times: vec![0.5e-6, 1.5e-6],
+            events,
+            outcome: crate::fault::LoopOutcome::Survived,
+        }
+    }
+
+    /// The snapshot and trace-block bytes are pinned: the digests were
+    /// computed before the per-type codecs were folded into one `Codec`
+    /// declaration per type, and any change to them is a format change
+    /// that must bump `SNAPSHOT_VERSION`.
     #[test]
-    fn huge_declared_length_does_not_allocate() {
-        // A payload declaring a 2^60-element vector must fail cleanly,
-        // not attempt the allocation.
-        let mut e = Enc::default();
-        e.u64(1u64 << 60);
-        let mut d = Dec::new(&e.buf);
-        assert!(d.f64s().is_err());
+    fn golden_wire_bytes_are_pinned() {
+        let want: [(&str, u64); 8] = [
+            ("map", 0xF1172503CFF27A49),
+            ("cgra", 0x3DB607A1FC9923E1),
+            ("reftrack", 0xC2E5C0EAB0B138C8),
+            ("ramp", 0x703F64AC197530E3),
+            ("signal_clean", 0xC4D4E0DEF64B96CD),
+            ("signal_saturated", 0x9469CF71E74CA0A9),
+            ("signal_stuck", 0xAF64A150D57EE62E),
+            ("signal_bitflip", 0xF52A77450EDA4049),
+        ];
+        let got: Vec<(&str, u64)> = golden_checkpoints()
+            .into_iter()
+            .map(|(name, ck)| {
+                let bytes = encode_snapshot(&ck);
+                assert_eq!(decode_snapshot(&bytes).unwrap(), ck, "{name} round trip");
+                (name, fnv1a(&bytes))
+            })
+            .collect();
+        let trace = golden_trace();
+        let block = encode_trace_block(&trace, 0, 0, 0);
+        let back = decode_trace_log(&block, 2).unwrap();
+        assert_eq!(back.events, trace.events);
+        assert_eq!(
+            (got, fnv1a(&block), SNAPSHOT_VERSION),
+            (want.to_vec(), 0xB818C444C4981613, 2),
+            "wire bytes changed"
+        );
     }
 }

@@ -370,12 +370,20 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
+    /// Bunch count of every engine [`EngineKind::build`] makes, and so of
+    /// every checkpoint a resume can apply.
+    pub(crate) const BUILT_BUNCHES: usize = 1;
+
     /// Build the engine for a scenario (single bunch, launched
     /// on-reference).
     pub fn build(&self, scenario: &MdeScenario) -> Result<Box<dyn BeamEngine>> {
         Ok(match *self {
             EngineKind::Map => Box::new(MapEngine::from_scenario(scenario)?),
-            EngineKind::Cgra => Box::new(CgraEngine::from_scenario(scenario, 1, &[])?),
+            EngineKind::Cgra => Box::new(CgraEngine::from_scenario(
+                scenario,
+                Self::BUILT_BUNCHES,
+                &[],
+            )?),
             EngineKind::RefTrack { particles, seed } => Box::new(RefTrackEngine::from_scenario(
                 scenario, particles, seed, 15e-9, 0.0,
             )?),

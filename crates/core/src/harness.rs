@@ -36,9 +36,7 @@
 //! scheduled/fired tallies ([`LoopMetrics::note_events`]) so the exported
 //! numbers always agree with the audit channel.
 
-use crate::checkpoint::{
-    Checkpoint, CheckpointConfig, CheckpointError, CheckpointSession, DecodedTrace,
-};
+use crate::checkpoint::{Checkpoint, CheckpointConfig, CheckpointError, CheckpointSession};
 use crate::control::BeamPhaseController;
 use crate::engine::{BeamEngine, EngineKind, EngineState, EngineStep, StepBlock};
 use crate::error::Result;
@@ -81,7 +79,7 @@ pub struct LoopTrace {
 }
 
 impl LoopTrace {
-    fn empty(bunches: usize) -> Self {
+    pub(crate) fn empty(bunches: usize) -> Self {
         Self {
             times: Vec::new(),
             bunch_phase_deg: vec![Vec::new(); bunches],
@@ -992,7 +990,8 @@ impl LoopHarness {
             crate::error::CilError::InvalidConfig("resume_from requires with_checkpointing".into())
         })?;
         cfg.validate()?;
-        let resumed = CheckpointSession::resume(&cfg).map_err(crate::error::CilError::from)?;
+        let resumed = CheckpointSession::resume(&cfg, EngineKind::BUILT_BUNCHES)
+            .map_err(crate::error::CilError::from)?;
         let ck = &resumed.checkpoint;
         if ck.supervised {
             return Err(CheckpointError::Incompatible(
@@ -1001,7 +1000,7 @@ impl LoopHarness {
             .into());
         }
         let mut engine = ck.kind.build(scenario)?;
-        let trace = self.restore_common(engine.as_mut(), ck, &resumed.trace, resumed.rejected)?;
+        let trace = self.restore_common(engine.as_mut(), ck, resumed.trace, resumed.rejected)?;
         let last_jump = ck.last_jump_deg;
         let kind = ck.kind;
         let mut session = resumed.session;
@@ -1023,14 +1022,14 @@ impl LoopHarness {
     }
 
     /// Shared resume plumbing: apply the snapshot to the engine,
-    /// controller, fault injector and telemetry, and rebuild the trace
-    /// prefix (with one [`LoopEvent::CheckpointRejected`] appended per
-    /// snapshot that had to be discarded during recovery).
+    /// controller, fault injector and telemetry, and return the recovered
+    /// trace prefix with one [`LoopEvent::CheckpointRejected`] appended per
+    /// snapshot that had to be discarded during recovery.
     fn restore_common<E: BeamEngine + ?Sized>(
         &mut self,
         engine: &mut E,
         ck: &Checkpoint,
-        decoded: &DecodedTrace,
+        mut trace: LoopTrace,
         rejected: usize,
     ) -> Result<LoopTrace> {
         if ck.bunches as usize != engine.bunches() {
@@ -1062,7 +1061,6 @@ impl LoopHarness {
                 );
             }
         }
-        let mut trace = trace_from_decoded(decoded.clone(), engine.bunches());
         for _ in 0..rejected {
             trace.events.push(LoopEvent::CheckpointRejected {
                 turn: ck.turn as usize,
@@ -1132,8 +1130,9 @@ impl LoopHarness {
             )
         })?;
         cfg.validate()?;
-        let resumed = CheckpointSession::resume(&cfg).map_err(crate::error::CilError::from)?;
-        let ck = resumed.checkpoint.clone();
+        let resumed = CheckpointSession::resume(&cfg, EngineKind::BUILT_BUNCHES)
+            .map_err(crate::error::CilError::from)?;
+        let ck = resumed.checkpoint;
         if !ck.supervised {
             return Err(CheckpointError::Incompatible(
                 "checkpoint was written by an unsupervised run; use resume_from",
@@ -1151,7 +1150,7 @@ impl LoopHarness {
         // (it may rebuild it mid-run) and re-applies the engine state
         // itself.
         let mut engine = ck.kind.build(scenario)?;
-        let trace = self.restore_common(engine.as_mut(), &ck, &resumed.trace, resumed.rejected)?;
+        let trace = self.restore_common(engine.as_mut(), &ck, resumed.trace, resumed.rejected)?;
         drop(engine);
         let mut session = resumed.session;
         let init = SupervisedResume {
@@ -1248,24 +1247,6 @@ struct SupervisedResume {
     last_jump: f64,
     ctrl_phase_rad: f64,
     engine_state: EngineState,
-}
-
-/// Rebuild a [`LoopTrace`] from the write-ahead log's decoded prefix.
-pub(crate) fn trace_from_decoded(d: DecodedTrace, bunches: usize) -> LoopTrace {
-    let bunch_phase_deg = if d.bunch_phase_deg.is_empty() {
-        vec![Vec::new(); bunches]
-    } else {
-        d.bunch_phase_deg
-    };
-    LoopTrace {
-        times: d.times,
-        bunch_phase_deg,
-        mean_phase_deg: d.mean_phase_deg,
-        control_hz: d.control_hz,
-        jump_times: d.jump_times,
-        events: d.events,
-        outcome: LoopOutcome::Survived,
-    }
 }
 
 /// Measure the median per-step wall-clock of `kind` over three warmup steps

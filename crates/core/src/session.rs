@@ -62,7 +62,7 @@ use crate::checkpoint::{
 use crate::engine::{EngineKind, EngineState};
 use crate::error::{CilError, Result};
 use crate::fault::{LoopSupervisor, SupervisorConfig};
-use crate::harness::{trace_from_decoded, LoopHarness, LoopTrace, RunCursor, DEFAULT_BLOCK_ROWS};
+use crate::harness::{LoopHarness, LoopTrace, RunCursor, DEFAULT_BLOCK_ROWS};
 use crate::scenario::MdeScenario;
 use crate::sweep::{EngineArena, ARENA_SLOTS};
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
@@ -443,12 +443,7 @@ impl SessionMux {
     /// registry, mirroring [`LoopHarness::resume_supervised_from`], so the
     /// continued session's exported totals match an uninterrupted run.
     pub fn create_from_snapshot(&self, spec: SessionSpec, bytes: Vec<u8>) -> Result<SessionHandle> {
-        let (ck, _) = split_evicted(&bytes)?;
-        if ck.bunches as usize != spec.scenario.bunches {
-            return Err(
-                CheckpointError::Incompatible("bunch count differs from the scenario").into(),
-            );
-        }
+        let (ck, _) = split_evicted(&bytes, spec.scenario.bunches)?;
         let rows = ck.turn;
         let time_s = ck.time_s;
         self.insert(spec, Phase::Parked(Work::Bytes(bytes)), rows, time_s, true)
@@ -838,8 +833,10 @@ fn serialize_body(spec: &SessionSpec, body: &SessionBody, rows: u64) -> Result<V
     Ok(out)
 }
 
-/// Split eviction bytes back into their snapshot and decoded trace.
-fn split_evicted(bytes: &[u8]) -> Result<(Checkpoint, crate::checkpoint::DecodedTrace)> {
+/// Split eviction bytes back into their snapshot and trace prefix. The
+/// snapshot's bunch count must equal `bunches` (the scenario's) before the
+/// trace is decoded against it.
+fn split_evicted(bytes: &[u8], bunches: usize) -> Result<(Checkpoint, LoopTrace)> {
     if bytes.len() < 8 {
         return Err(CheckpointError::TooShort.into());
     }
@@ -849,8 +846,11 @@ fn split_evicted(bytes: &[u8]) -> Result<(Checkpoint, crate::checkpoint::Decoded
         return Err(CheckpointError::TooShort.into());
     }
     let ck = decode_snapshot(&rest[..snap_len])?;
-    let decoded = decode_trace_log(&rest[snap_len..])?;
-    Ok((ck, decoded))
+    if ck.bunches as usize != bunches {
+        return Err(CheckpointError::Incompatible("bunch count differs from the scenario").into());
+    }
+    let trace = decode_trace_log(&rest[snap_len..], bunches)?;
+    Ok((ck, trace))
 }
 
 /// Rebuild a live session body from eviction bytes. `restore_telemetry`
@@ -863,10 +863,7 @@ fn restore_body(
     block_rows: usize,
     restore_telemetry: bool,
 ) -> Result<SessionBody> {
-    let (ck, decoded) = split_evicted(bytes)?;
-    if ck.bunches as usize != spec.scenario.bunches {
-        return Err(CheckpointError::Incompatible("bunch count differs from the scenario").into());
-    }
+    let (ck, trace) = split_evicted(bytes, spec.scenario.bunches)?;
     let mut body = build_body(spec, block_rows)?;
     if !body.harness.controller.restore(&ck.controller) {
         return Err(
@@ -895,7 +892,7 @@ fn restore_body(
     body.kind = ck.kind;
     body.ctrl_phase_rad = ck.ctrl_phase_rad;
     body.cursor = RunCursor {
-        trace: trace_from_decoded(decoded, ck.bunches as usize),
+        trace,
         last_jump: ck.last_jump_deg,
     };
     body.engine_state = Some(ck.engine);

@@ -459,17 +459,6 @@ where
     parallel_sweep_with(inputs, threads, || (), |(), input| f(input))
 }
 
-/// Convenience: sweep with one thread per available core.
-pub fn parallel_sweep_auto<I, O, F>(inputs: &[I], f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let threads = std::thread::available_parallelism().map_or(1, |v| v.get());
-    parallel_sweep(inputs, threads, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

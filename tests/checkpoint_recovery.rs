@@ -11,14 +11,18 @@
 //! costs ~1.08x wall-clock on a quiet machine, bounded at 1.25x
 //! (`results/BENCH_checkpoint.json`).
 
-use cil_core::checkpoint::{decode_snapshot, decode_trace_log, CheckpointConfig, CheckpointError};
+use cil_core::checkpoint::{
+    crc32, decode_snapshot, decode_trace_log, encode_snapshot, CheckpointConfig, CheckpointError,
+};
 use cil_core::engine::MapEngine;
 use cil_core::fault::{FaultEvent, FaultKind, FaultProgram, LoopEvent};
 use cil_core::harness::{LoopHarness, LoopTrace};
 use cil_core::hil::EngineKind;
 use cil_core::signalgen::PhaseJumpProgram;
 use cil_core::telemetry::TelemetrySnapshot;
-use cil_core::{CilError, LoopSupervisor, MdeScenario, TelemetryRegistry};
+use cil_core::{
+    CilError, LoopSupervisor, MdeScenario, MuxConfig, SessionMux, SessionSpec, TelemetryRegistry,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -527,8 +531,77 @@ fn zero_length_and_header_only_files_are_typed_errors() {
         decode_snapshot(&wrong_version),
         Err(CheckpointError::UnsupportedVersion(99))
     ));
-    assert!(decode_trace_log(&[]).is_ok(), "empty log is zero blocks");
-    assert!(decode_trace_log(&[0x42; 5]).is_err(), "torn block header");
+    assert!(decode_trace_log(&[], 1).is_ok(), "empty log is zero blocks");
+    assert!(
+        decode_trace_log(&[0x42; 5], 1).is_err(),
+        "torn block header"
+    );
+}
+
+/// A CRC-valid 32-byte trace-log block declaring `u32::MAX` bunches and no
+/// rows, events or jumps. Decoding once sized a ~100 GB allocation from that
+/// count and aborted the process.
+fn hostile_bunch_block() -> Vec<u8> {
+    let mut payload = u32::MAX.to_le_bytes().to_vec();
+    payload.extend_from_slice(&[0; 12]);
+    let mut block = 0x5452_4342u32.to_le_bytes().to_vec(); // "TRCB"
+    block.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    block.extend_from_slice(&payload);
+    block.extend_from_slice(&crc32(&payload).to_le_bytes());
+    assert_eq!(block.len(), 32);
+    block
+}
+
+/// The hostile block is a typed error on every path that decodes a trace
+/// log: directly, through resume from a checkpoint directory, and through
+/// `SessionMux::create_from_snapshot`.
+#[test]
+fn hostile_bunch_count_block_is_a_typed_error() {
+    let block = hostile_bunch_block();
+    assert!(matches!(
+        decode_trace_log(&block, 1),
+        Err(CheckpointError::Malformed(_))
+    ));
+
+    // A real snapshot, re-cut so that its log prefix is exactly the block.
+    let s = base_scenario(0.004);
+    let dir = ckpt_dir("hostile-bunches");
+    LoopHarness::for_scenario(&s, true)
+        .with_checkpointing(config(dir.clone(), 128))
+        .run_checkpointed(&s, EngineKind::Map, s.duration_s)
+        .unwrap();
+    let files = snapshot_files(&dir);
+    let mut ck = decode_snapshot(&std::fs::read(files.last().unwrap()).unwrap()).unwrap();
+    (ck.rows, ck.events, ck.jumps) = (0, 0, 0);
+    ck.log_bytes = block.len() as u64;
+    for f in &files {
+        std::fs::remove_file(f).unwrap();
+    }
+    let snap = encode_snapshot(&ck);
+    std::fs::write(dir.join(format!("ckpt_{:010}.cil", ck.turn)), &snap).unwrap();
+    std::fs::write(dir.join("trace.log"), &block).unwrap();
+    let err = LoopHarness::for_scenario(&s, true)
+        .with_checkpointing(config(dir, 128))
+        .resume_from(&s, s.duration_s)
+        .unwrap_err();
+    assert!(
+        matches!(err, CilError::Checkpoint(CheckpointError::NoCheckpoint)),
+        "{err:?}"
+    );
+
+    let mut evicted = (snap.len() as u64).to_le_bytes().to_vec();
+    evicted.extend_from_slice(&snap);
+    evicted.extend_from_slice(&block);
+    let mux = SessionMux::new(MuxConfig {
+        workers: 1,
+        ..MuxConfig::default()
+    })
+    .unwrap();
+    let created = mux.create_from_snapshot(SessionSpec::new(s, EngineKind::Map), evicted);
+    assert!(matches!(
+        created,
+        Err(CilError::Checkpoint(CheckpointError::Malformed(_)))
+    ));
 }
 
 proptest! {
@@ -567,7 +640,7 @@ proptest! {
                 (state >> 56) as u8
             })
             .collect();
-        let _ = decode_trace_log(&bytes); // any Result is fine; panics are not
+        let _ = decode_trace_log(&bytes, 1); // any Result is fine; panics are not
     }
 }
 
