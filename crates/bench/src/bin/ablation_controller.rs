@@ -5,7 +5,7 @@
 //! and pass frequency around that point (turn-level loop, one 8° jump) and
 //! reports first-peak ratio, residual and damping time — showing the
 //! chosen point is indeed a good one. The variants run in parallel through
-//! [`cil_core::sweep::parallel_sweep_with_merge`]; results come back in
+//! [`cil_core::sweep::parallel_sweep`]; results come back in
 //! input order, so the table stays deterministic. Each worker carries a
 //! private metrics registry (merged lock-free into a root registry at
 //! join — pass `--telemetry` to print the merged snapshot) plus an
@@ -16,7 +16,7 @@
 use cil_bench::{write_csv, Table};
 use cil_core::hil::{EngineKind, TurnLevelLoop};
 use cil_core::scenario::MdeScenario;
-use cil_core::sweep::{parallel_sweep_with_merge, EngineArena};
+use cil_core::sweep::{parallel_sweep, EngineArena};
 use cil_core::telemetry::TelemetryRegistry;
 use cil_core::trace::score_jump_response;
 use std::fmt::Write as _;
@@ -87,7 +87,7 @@ fn main() {
 
     let threads = std::thread::available_parallelism().map_or(1, |v| v.get());
     let registry = TelemetryRegistry::new();
-    let results = parallel_sweep_with_merge(
+    let results = parallel_sweep(
         &points,
         threads,
         || (TelemetryRegistry::new(), EngineArena::new()),

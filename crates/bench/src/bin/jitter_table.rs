@@ -4,11 +4,11 @@
 //! "In principle it could be fast enough, but the time jitter induced by
 //! the microarchitecture and the interfacing to the sensors was too high."
 //! The table reports RMS / p99.9 / worst-case output-pulse timing error for
-//! the three implementation models against the hard budget of a fraction of
-//! the minimum revolution time (T_R ≈ 0.7 µs).
+//! the three implementation models against the hard budget
+//! [`HARD_BUDGET_S`], 1 % of the minimum revolution time (T_R ≈ 0.7 µs).
 
 use cil_bench::{write_csv, Table};
-use cil_core::jitter::{Implementation, JitterModel};
+use cil_core::jitter::{Implementation, JitterModel, HARD_BUDGET_S};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -16,9 +16,10 @@ use std::fmt::Write as _;
 fn main() {
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     let n = 2_000_000;
-    let budget = 7e-9; // 1% of T_R,min = 0.7 µs
+    let budget = HARD_BUDGET_S;
+    let budget_col = format!("budget {:.0} ns", budget * 1e9);
 
-    let mut t = Table::new(&["implementation", "rms", "p99.9", "worst", "budget 7 ns"]);
+    let mut t = Table::new(&["implementation", "rms", "p99.9", "worst", &budget_col]);
     let mut csv = String::from("implementation,rms_s,p999_s,worst_s,meets_budget\n");
     for imp in [
         Implementation::CgraFpga,

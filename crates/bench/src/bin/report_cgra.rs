@@ -1,6 +1,7 @@
 //! Inspect the CGRA artifacts for a beam-kernel configuration: the
 //! generated C source, DFG statistics, the schedule Gantt chart, the
-//! routing report and the context-memory footprint.
+//! routing report, the context-memory footprint, and the wall-clock of the
+//! whole C source → context-memories toolchain for that configuration.
 //!
 //! `--bunches N` (default 1), `--sequential` (default pipelined),
 //! `--grid N` (N×N mesh, default 5), `--source` (dump the C source).
@@ -13,6 +14,8 @@ use cil_cgra::report::{gantt, pe_stats, summary};
 use cil_cgra::route::route;
 use cil_cgra::sched::ListScheduler;
 use cil_core::scenario::MdeScenario;
+use std::hint::black_box;
+use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -73,5 +76,24 @@ fn main() {
     println!(
         "  packed image     : {} bytes (the bitstream patch)",
         ctx.pack().len()
+    );
+
+    // Reconfiguration is a software step, not hours of synthesis: time the
+    // full toolchain (generate + compile C, pipeline split, schedule, pack
+    // contexts), best of a few repetitions to shed scheduler noise.
+    const REPS: usize = 20;
+    let best_s = (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            let k = build_beam_kernel(&params, bunches, pipelined);
+            let s = ListScheduler::new(grid).schedule(&k.kernel.dfg);
+            black_box(ContextMemories::from_schedule(&k.kernel.dfg, &s).pack());
+            t.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    println!("\n== toolchain ==");
+    println!(
+        "  source -> contexts : {:.3} ms (best of {REPS})",
+        best_s * 1e3
     );
 }

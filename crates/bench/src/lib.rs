@@ -11,9 +11,8 @@
 //! | `jitter_table`        | §I motivation — software vs CGRA timing jitter |
 //! | `ablation_*`          | design-choice ablations A1–A6 |
 //!
-//! plus the criterion benches under `benches/` for throughput/real-time
-//! claims. Binaries print aligned tables to stdout and drop CSV artifacts
-//! into `results/`.
+//! plus the `bench_*` throughput bins for the real-time claims. Binaries
+//! print aligned tables to stdout and drop CSV artifacts into `results/`.
 
 pub mod loop_bench;
 pub mod reftrack_bench;

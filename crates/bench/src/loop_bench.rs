@@ -20,8 +20,7 @@ use cil_core::harness::{LoopHarness, DEFAULT_BLOCK_ROWS};
 use cil_core::scenario::MdeScenario;
 
 /// The benchmark scenario: the Nov-24 MDE operating point trimmed to
-/// `revolutions` turns of a single bunch, loop closed (the multi-bunch
-/// executive has its own criterion bench).
+/// `revolutions` turns of a single bunch, loop closed.
 pub fn bench_scenario(revolutions: u64) -> MdeScenario {
     let mut s = MdeScenario::nov24_2023();
     s.bunches = 1;

@@ -58,7 +58,7 @@ pub const PAR_THREADS: usize = 8;
 const PARTICLE_TURNS_PER_CASE: u64 = 2_000_000;
 
 /// The Nov-24 MDE operating point (N7+ at 800 kHz, fs = 1.28 kHz) — the same
-/// point the criterion `reftrack` bench and the closed-loop bench run.
+/// point the closed-loop bench runs.
 pub fn bench_op() -> OperatingPoint {
     let m = MachineParams::sis18();
     let ion = IonSpecies::n14_7plus();

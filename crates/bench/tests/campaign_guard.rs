@@ -3,8 +3,8 @@
 //! The campaign layer's durability (WAL shard commits, per-point
 //! `catch_unwind`, retry bookkeeping) must stay cheap next to the
 //! simulation it wraps: the same point list run through a `Campaign` must
-//! take no more than 1.15x the wall time of a raw
-//! `parallel_sweep_with_merge` over identical work. Meaningless at
+//! take no more than 1.15x the wall time of a raw `parallel_sweep` over
+//! identical work. Meaningless at
 //! opt-level 0, so ignored in debug builds and run via `--include-ignored`
 //! in release (tier1/CI) — the same pattern as the loop and checkpoint
 //! guards. Interleaves best-of-3 passes of both variants so ambient load
@@ -13,7 +13,7 @@
 use cil_core::campaign::{Campaign, CampaignConfig};
 use cil_core::hil::{EngineKind, TurnLevelLoop};
 use cil_core::scenario::MdeScenario;
-use cil_core::sweep::{parallel_sweep_with_merge, EngineArena};
+use cil_core::sweep::{parallel_sweep, EngineArena};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -45,9 +45,8 @@ fn campaign_overhead_within_bound_of_raw_sweep() {
     let threads = std::thread::available_parallelism().map_or(1, |v| v.get());
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/campaign-guard");
 
-    let raw = |pts: &[MdeScenario]| {
-        parallel_sweep_with_merge(pts, threads, EngineArena::new, run_point, |_| {})
-    };
+    let raw =
+        |pts: &[MdeScenario]| parallel_sweep(pts, threads, EngineArena::new, run_point, |_| {});
     let campaign = |pts: &[MdeScenario]| {
         let _ = std::fs::remove_dir_all(&dir);
         let mut cfg = CampaignConfig::new(&dir, &["sum_abs_phase"]);

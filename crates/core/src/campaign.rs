@@ -8,7 +8,7 @@
 //! points will misbehave (a pathological controller setting panics an
 //! engine), and nobody wants to restart from zero or babysit the fleet.
 //! This module layers three robustness contracts over
-//! [`crate::sweep::parallel_sweep_with_merge`]:
+//! [`crate::sweep::parallel_sweep`]:
 //!
 //! 1. **Durability** — points are grouped into fixed-size *shards*; each
 //!    finished shard is appended to `campaign.log`, a framed write-ahead
@@ -49,7 +49,7 @@ use crate::checkpoint::{
 };
 use crate::error::Result as CilResult;
 use crate::scenario::MdeScenario;
-use crate::sweep::{panic_message, parallel_sweep_with_merge, EngineArena};
+use crate::sweep::{panic_message, parallel_sweep, EngineArena};
 use crate::telemetry::TelemetryRegistry;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -608,7 +608,7 @@ impl<'a, P: CampaignPoint> Campaign<'a, P> {
         // Work-stealing fleet: one sweep item per worker; each worker loops
         // claiming pending shards off the shared cursor until none remain.
         let worker_ids: Vec<usize> = (0..self.cfg.workers).collect();
-        parallel_sweep_with_merge(
+        parallel_sweep(
             &worker_ids,
             self.cfg.workers,
             CampaignWorker::new,

@@ -195,24 +195,9 @@ impl<E: BeamEngine + ?Sized> EngineSlot for BorrowedEngine<'_, E> {
     }
 }
 
-/// A harness-owned boxed engine: the supervised path, free to swap
-/// fidelities.
-struct OwnedEngine(Box<dyn BeamEngine>);
-
-impl EngineSlot for OwnedEngine {
-    type E = dyn BeamEngine;
-    fn engine(&mut self) -> &mut (dyn BeamEngine + 'static) {
-        self.0.as_mut()
-    }
-    fn rebuild(&mut self, to: EngineKind, scenario: &MdeScenario) -> Result<()> {
-        self.0 = to.build(scenario)?;
-        Ok(())
-    }
-}
-
-/// A caller-leased boxed engine (the session executor's arena lease):
-/// steppable *and* rebuildable in place — a watchdog demotion swaps the
-/// box, so the caller sees the new fidelity when the slice returns.
+/// A boxed engine — the supervised run's own, or the session executor's
+/// arena lease: steppable *and* rebuildable in place — a watchdog demotion
+/// swaps the box, so the owner sees the new fidelity when the run returns.
 struct LeasedEngine<'a>(&'a mut Box<dyn BeamEngine>);
 
 impl EngineSlot for LeasedEngine<'_> {
@@ -1199,11 +1184,11 @@ impl LoopHarness {
                 ))
                 .set(cal.step_seconds);
         }
-        let mut slot = OwnedEngine(kind.build(scenario)?);
-        let bunches = slot.0.bunches();
+        let mut engine = kind.build(scenario)?;
+        let bunches = engine.bunches();
         let (trace, last_jump, mut ctrl_phase_rad) = match resume {
             Some(init) => {
-                if !slot.0.restore_state(&init.engine_state) {
+                if !engine.restore_state(&init.engine_state) {
                     return Err(CheckpointError::Incompatible(
                         "engine state does not fit the scenario",
                     )
@@ -1223,7 +1208,7 @@ impl LoopHarness {
         };
         let ckpt = session.map(|s| CkptRun { session: s, kind });
         self.run_dispatch(
-            &mut slot,
+            &mut LeasedEngine(&mut engine),
             duration_s,
             None,
             RunCursor { trace, last_jump },

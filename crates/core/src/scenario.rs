@@ -154,21 +154,13 @@ impl MdeScenario {
         (self.duration_s * self.f_rev) as usize
     }
 
-    /// Do two scenarios build identical turn-level engines
-    /// ([`crate::engine::EngineKind::build`])? Compares every field that
-    /// flows into engine construction — machine, ion, operating point,
-    /// bunch count, converter amplitudes/noise, CGRA grid and pipelining,
-    /// pulse shape and fault program — and ignores the harness-side knobs a
-    /// sweep typically varies (controller settings, jump program, duration,
-    /// instrument offset). Engine arenas use this to decide whether a
-    /// built engine can be re-used for the next sweep point.
     /// Deterministic 64-bit digest of every scenario field, FNV-1a over the
     /// exact bit patterns (floats via `to_bits`, so `-0.0 ≠ 0.0` and any
     /// NaN payload is distinguished — the digest identifies the *input*, it
     /// does not define numeric equivalence).
     ///
-    /// This is the stable identity of a sweep/campaign point: it names a
-    /// point in a [`crate::sweep::SweepPanic`], keys retry/quarantine
+    /// This is the stable identity of a sweep/campaign point: it names the
+    /// point behind a [`crate::sweep::SweepPanic`]'s index, keys retry/quarantine
     /// records in the campaign WAL, and lets a resumed campaign verify the
     /// regenerated point list matches the one the log was written against.
     /// Platform-independent (no `RandomState`, fixed field order) so a WAL
@@ -260,6 +252,14 @@ impl MdeScenario {
         h.finish()
     }
 
+    /// Do two scenarios build identical turn-level engines
+    /// ([`crate::engine::EngineKind::build`])? Compares every field that
+    /// flows into engine construction — machine, ion, operating point,
+    /// bunch count, converter amplitudes/noise, CGRA grid and pipelining,
+    /// pulse shape and fault program — and ignores the harness-side knobs a
+    /// sweep typically varies (controller settings, jump program, duration,
+    /// instrument offset). Engine arenas use this to decide whether a
+    /// built engine can be re-used for the next sweep point.
     pub fn engine_config_eq(&self, other: &Self) -> bool {
         self.machine == other.machine
             && self.ion == other.ion

@@ -2,16 +2,13 @@
 //!
 //! The ablations (A3, A5, …) evaluate many independent scenario variants;
 //! each variant is seconds of simulation, so running them across cores is
-//! the difference between an interactive sweep and a coffee break. Inputs
-//! are split into contiguous chunks, one scoped thread per chunk, and every
-//! worker writes its results into its own disjoint `&mut` slice of the
-//! output — no locks anywhere. [`parallel_sweep_with`] additionally hands
-//! each worker a reusable per-thread state arena (e.g. a warm
-//! engine/trace allocation, or a handle that keeps compiled-kernel cache
-//! entries alive) built once per thread instead of once per item.
-//! [`parallel_sweep_telemetry`] specialises the state arena to a per-worker
-//! [`TelemetryRegistry`] merged into a root registry at join — each worker
-//! records into private atomics, so the sweep hot path takes no shared lock.
+//! the difference between an interactive sweep and a coffee break.
+//! [`parallel_sweep`] splits the inputs into contiguous chunks, one scoped
+//! thread per chunk, and every worker returns its chunk's results through
+//! its join handle — no locks anywhere. Each worker also gets a reusable
+//! per-thread state built once per thread instead of once per item (e.g. a
+//! warm [`EngineArena`], or a [`TelemetryRegistry`] merged into a root
+//! registry at join, so the sweep hot path takes no shared lock).
 
 use crate::engine::{BeamEngine, EngineKind};
 use crate::error::Result;
@@ -21,20 +18,17 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Context attached to a panic that escaped a sweep worker: which input
-/// blew up, and its scenario digest when the caller supplied one.
+/// blew up.
 ///
-/// A bare worker panic used to surface as an anonymous join panic — useless
-/// for a 10⁵-point campaign where "which point?" is the whole question. Every
-/// `parallel_sweep_*` entry point now re-raises worker panics through
-/// [`resume_unwind`] with this struct as the payload; callers that want to
-/// map a panic back to a point (the campaign layer's quarantine path)
-/// downcast the payload to `SweepPanic`.
+/// A bare worker panic would surface as an anonymous join panic — useless
+/// for a 10⁵-point campaign where "which point?" is the whole question.
+/// [`parallel_sweep`] re-raises worker panics through [`resume_unwind`] with
+/// this struct as the payload; callers that want to map a panic back to a
+/// point downcast the payload to `SweepPanic` and look the index up in
+/// their input slice (e.g. for its [`MdeScenario::digest`]).
 pub struct SweepPanic {
     /// Index of the failing item in the sweep's input slice.
     pub index: usize,
-    /// Caller-supplied digest of the failing input (e.g.
-    /// [`MdeScenario::digest`]); 0 when the sweep variant attaches none.
-    pub digest: u64,
     /// The original panic payload.
     pub payload: Box<dyn Any + Send>,
 }
@@ -51,7 +45,6 @@ impl std::fmt::Debug for SweepPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepPanic")
             .field("index", &self.index)
-            .field("digest", &format_args!("{:016x}", self.digest))
             .field("message", &self.message())
             .finish()
     }
@@ -308,31 +301,26 @@ impl EngineArena {
     }
 }
 
-/// Run `f` over every item of `inputs` on up to `threads` worker threads,
-/// giving each worker a private state value built by `init` (once per
-/// thread). Results come back in input order; `f` must be deterministic per
-/// input for the sweep to be reproducible (all our simulations are).
+/// Run `f` over every item of `inputs` on up to `threads` worker threads;
+/// results come back in input order. `f` must be deterministic per input
+/// for the sweep to be reproducible (all our simulations are).
+///
+/// Each worker builds a private state value with `init` (once per thread),
+/// threads it through `f` for every item of its chunk, and finally hands it
+/// to `merge` on its own thread before joining — so `merge` observes every
+/// worker's final state exactly once regardless of thread count. Callers
+/// that need no state pass `|| ()` and `|_| {}`; a telemetry sweep passes
+/// `TelemetryRegistry::new` and `|r| root.absorb(&r)`, whose counter and
+/// histogram totals are then exact sums independent of thread count.
 ///
 /// Chunking is contiguous, so for a fixed input list the (input, worker)
 /// assignment — and therefore any per-thread state reuse — is itself
 /// deterministic for a given thread count, and the *results* are identical
 /// across thread counts.
-pub fn parallel_sweep_with<I, O, S, G, F>(inputs: &[I], threads: usize, init: G, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, &I) -> O + Sync,
-{
-    parallel_sweep_with_merge(inputs, threads, init, f, |_| {})
-}
-
-/// [`parallel_sweep_with`] plus a `merge` hook: each worker calls
-/// `merge(state)` on its own thread after finishing its chunk, before
-/// joining. `merge` observes every worker's final state exactly once
-/// regardless of thread count — the primitive behind
-/// [`parallel_sweep_telemetry`]'s lossless registry merging.
-pub fn parallel_sweep_with_merge<I, O, S, G, F, M>(
+///
+/// A panic in `f` is resumed on the caller's thread with a [`SweepPanic`]
+/// payload naming the failing input's index.
+pub fn parallel_sweep<I, O, S, G, F, M>(
     inputs: &[I],
     threads: usize,
     init: G,
@@ -345,29 +333,6 @@ where
     G: Fn() -> S + Sync,
     F: Fn(&mut S, &I) -> O + Sync,
     M: Fn(S) + Sync,
-{
-    parallel_sweep_with_merge_digest(inputs, threads, init, f, merge, |_| 0)
-}
-
-/// [`parallel_sweep_with_merge`] plus a `digest` hook used only on the
-/// failure path: when `f` panics, the unwind is resumed with a
-/// [`SweepPanic`] payload carrying the failing input's index and
-/// `digest(input)` so the error names the point instead of just the thread.
-pub fn parallel_sweep_with_merge_digest<I, O, S, G, F, M, D>(
-    inputs: &[I],
-    threads: usize,
-    init: G,
-    f: F,
-    merge: M,
-    digest: D,
-) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    G: Fn() -> S + Sync,
-    F: Fn(&mut S, &I) -> O + Sync,
-    M: Fn(S) + Sync,
-    D: Fn(&I) -> u64 + Sync,
 {
     assert!(threads >= 1);
     let n = inputs.len();
@@ -379,7 +344,6 @@ where
     let init = &init;
     let f = &f;
     let merge = &merge;
-    let digest = &digest;
     // Each worker returns its chunk's results through the join handle;
     // joining in spawn order reassembles the input order without ever
     // holding partially-filled slots. Worker panics are caught per item so
@@ -399,7 +363,6 @@ where
                             Err(payload) => {
                                 return Err(SweepPanic {
                                     index: ci * chunk + li,
-                                    digest: digest(input),
                                     payload,
                                 })
                             }
@@ -421,44 +384,6 @@ where
     })
 }
 
-/// Telemetry-carrying sweep: each worker gets a private
-/// [`TelemetryRegistry`] to record into (passed to `f` alongside the input),
-/// absorbed into `root` when the worker finishes its chunk. Recording is
-/// per-worker atomics — no shared lock on the hot path; the only
-/// synchronisation is one absorb per worker at join. Counter and
-/// histogram-bucket totals in `root` are exact sums over all items,
-/// independent of thread count.
-pub fn parallel_sweep_telemetry<I, O, F>(
-    inputs: &[I],
-    threads: usize,
-    root: &TelemetryRegistry,
-    f: F,
-) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&TelemetryRegistry, &I) -> O + Sync,
-{
-    parallel_sweep_with_merge(
-        inputs,
-        threads,
-        TelemetryRegistry::new,
-        |reg, input| f(reg, input),
-        |reg| root.absorb(&reg),
-    )
-}
-
-/// Stateless sweep: run `f` over every item on up to `threads` workers;
-/// results in input order.
-pub fn parallel_sweep<I, O, F>(inputs: &[I], threads: usize, f: F) -> Vec<O>
-where
-    I: Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    parallel_sweep_with(inputs, threads, || (), |(), input| f(input))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,7 +394,7 @@ mod tests {
     #[test]
     fn results_in_input_order() {
         let inputs: Vec<u64> = (0..100).collect();
-        let out = parallel_sweep(&inputs, 8, |&x| x * x);
+        let out = parallel_sweep(&inputs, 8, || (), |_, &x| x * x, |_| {});
         for (i, &v) in out.iter().enumerate() {
             assert_eq!(v, (i as u64).pow(2));
         }
@@ -478,21 +403,22 @@ mod tests {
     #[test]
     fn single_thread_matches_parallel() {
         let inputs: Vec<f64> = (0..50).map(|i| f64::from(i) * 0.1).collect();
-        let seq = parallel_sweep(&inputs, 1, |&x| (x.sin() * 1e6).round());
-        let par = parallel_sweep(&inputs, 16, |&x| (x.sin() * 1e6).round());
+        let f = |_: &mut (), &x: &f64| (x.sin() * 1e6).round();
+        let seq = parallel_sweep(&inputs, 1, || (), f, |_| {});
+        let par = parallel_sweep(&inputs, 16, || (), f, |_| {});
         assert_eq!(seq, par);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let out: Vec<u32> = parallel_sweep(&Vec::<u32>::new(), 4, |&x| x);
+        let out: Vec<u32> = parallel_sweep(&Vec::<u32>::new(), 4, || (), |_, &x| x, |_| {});
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         let inputs = [1u32, 2, 3];
-        let out = parallel_sweep(&inputs, 64, |&x| x + 1);
+        let out = parallel_sweep(&inputs, 64, || (), |_, &x| x + 1, |_| {});
         assert_eq!(out, vec![2, 3, 4]);
     }
 
@@ -501,7 +427,7 @@ mod tests {
         // One worker, stateful counter: proves `init` ran once and the
         // arena persisted across items of the chunk.
         let inputs: Vec<u32> = (0..10).collect();
-        let out = parallel_sweep_with(
+        let out = parallel_sweep(
             &inputs,
             1,
             || 0u32,
@@ -509,6 +435,7 @@ mod tests {
                 *seen += 1;
                 (x, *seen)
             },
+            |_| {},
         );
         for (i, &(x, seen)) in out.iter().enumerate() {
             assert_eq!(x, i as u32);
@@ -520,11 +447,17 @@ mod tests {
     fn telemetry_sweep_counts_every_item_once() {
         let inputs: Vec<u32> = (0..40).collect();
         let root = TelemetryRegistry::new();
-        let out = parallel_sweep_telemetry(&inputs, 4, &root, |reg, &x| {
-            reg.counter("items_total").inc();
-            reg.histogram("value_hist").observe(f64::from(x));
-            x
-        });
+        let out = parallel_sweep(
+            &inputs,
+            4,
+            TelemetryRegistry::new,
+            |reg, &x| {
+                reg.counter("items_total").inc();
+                reg.histogram("value_hist").observe(f64::from(x));
+                x
+            },
+            |reg| root.absorb(&reg),
+        );
         assert_eq!(out.len(), 40);
         let snap = root.snapshot();
         assert_eq!(snap.counter("items_total"), Some(40));
@@ -571,21 +504,20 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_carries_index_and_digest() {
+    fn worker_panic_carries_index() {
         let inputs: Vec<u32> = (0..10).collect();
         let res = catch_unwind(AssertUnwindSafe(|| {
-            parallel_sweep_with_merge_digest(
+            parallel_sweep(
                 &inputs,
                 2,
                 || (),
-                |(), &x| {
+                |_, &x| {
                     if x == 7 {
                         panic!("boom at {x}");
                     }
                     x
                 },
-                |()| {},
-                |&x| u64::from(x) * 3,
+                |_| {},
             )
         }));
         let payload = res.expect_err("sweep must re-raise the worker panic");
@@ -593,7 +525,6 @@ mod tests {
             .downcast::<SweepPanic>()
             .expect("payload must be a SweepPanic");
         assert_eq!(sp.index, 7);
-        assert_eq!(sp.digest, 21);
         assert!(sp.message().contains("boom at 7"));
     }
 
@@ -686,7 +617,7 @@ mod tests {
     fn gain_sweep_over_threads_is_deterministic() {
         // A real use: damping-residual vs controller gain, in parallel.
         let gains = [-2.0, -5.0, -8.0];
-        let run = |gain: &f64| {
+        let run = |_: &mut (), gain: &f64| {
             let mut s = MdeScenario::nov24_2023();
             s.duration_s = 0.02;
             s.bunches = 1;
@@ -698,8 +629,8 @@ mod tests {
                 .map(|v| v.abs())
                 .sum::<f64>()
         };
-        let a = parallel_sweep(&gains, 3, run);
-        let b = parallel_sweep(&gains, 1, run);
+        let a = parallel_sweep(&gains, 3, || (), run, |_| {});
+        let b = parallel_sweep(&gains, 1, || (), run, |_| {});
         assert_eq!(a, b, "bit-identical across thread counts");
     }
 }

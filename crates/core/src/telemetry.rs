@@ -18,8 +18,8 @@
 //! A [`TelemetrySnapshot`] freezes the registry for export in Prometheus
 //! text exposition format ([`TelemetrySnapshot::to_prometheus`]) or JSON
 //! ([`TelemetrySnapshot::to_json`]). Registries merge losslessly and
-//! order-independently with [`TelemetryRegistry::absorb`] — the join step of
-//! [`crate::sweep::parallel_sweep_telemetry`].
+//! order-independently with [`TelemetryRegistry::absorb`] — the merge hook a
+//! telemetry [`crate::sweep::parallel_sweep`] runs at each worker's join.
 //!
 //! Metric naming: `cil_<subsystem>_<quantity>[_total]`, with Prometheus
 //! labels embedded in the name string (e.g.

@@ -6,15 +6,14 @@
 //! module replaces it with a branch-free fdlibm-style polynomial —
 //! Cody–Waite range reduction to `[-π/4, π/4]` followed by the fdlibm
 //! `__sin`/`__cos` minimax kernels — written so the *same arithmetic, in the
-//! same order* runs scalar, autovectorised over explicit 8-wide chunks, and
-//! (behind the `simd` feature) through `std::simd::f64x8`.
+//! same order* runs scalar or autovectorised over explicit 8-wide chunks.
 //!
 //! # Determinism contract
 //!
 //! * Every operation is a plain IEEE-754 `+`, `-`, `*`, or compare — no
 //!   `mul_add`, no float→int conversion, no table lookup. Elementwise IEEE
-//!   ops produce identical bits at any vector width, so the Portable, Avx2,
-//!   Avx512 and Simd backends are bit-identical by construction; only the
+//!   ops produce identical bits at any vector width, so the Portable, Avx2
+//!   and Avx512 backends are bit-identical by construction; only the
 //!   `Libm` reference backend (host `sin`) may differ in the last ulp.
 //! * Centroid moments are accumulated in a fixed tree: per-lane partial sums
 //!   over [`REDUCE_QUANTUM`]-particle sub-chunks, each folded by the fixed
@@ -78,8 +77,8 @@ pub const REDUCE_QUANTUM: usize = 256;
 
 /// Branch-free polynomial sine, valid for |x| ≲ 2^20 rad.
 ///
-/// Uses only `+`, `-`, `*` and `==` on f64 so every backend — scalar,
-/// autovectorised, `std::simd` — performs the identical IEEE operation
+/// Uses only `+`, `-`, `*` and `==` on f64 so every backend — scalar or
+/// autovectorised at any width — performs the identical IEEE operation
 /// sequence and returns identical bits.
 #[inline(always)]
 pub fn poly_sin(x: f64) -> f64 {
@@ -143,10 +142,6 @@ pub enum KernelBackend {
     /// Polynomial sine compiled with AVX-512F enabled (runtime-detected).
     #[cfg(target_arch = "x86_64")]
     Avx512,
-    /// Polynomial sine through `std::simd::f64x8` (requires the `simd`
-    /// feature).
-    #[cfg(feature = "simd")]
-    Simd,
 }
 
 impl KernelBackend {
@@ -182,8 +177,6 @@ impl KernelBackend {
                 v.push(Self::Avx512);
             }
         }
-        #[cfg(feature = "simd")]
-        v.push(Self::Simd);
         v
     }
 
@@ -208,8 +201,6 @@ impl KernelBackend {
             Self::Avx2 => "avx2",
             #[cfg(target_arch = "x86_64")]
             Self::Avx512 => "avx512",
-            #[cfg(feature = "simd")]
-            Self::Simd => "simd",
         }
     }
 }
@@ -301,78 +292,6 @@ unsafe fn rows_avx512(dt: &mut [f64], dg: &mut [f64], p: &KickParams) -> ChunkMo
     rows_with(dt, dg, p, poly_sin)
 }
 
-#[cfg(feature = "simd")]
-mod simd8 {
-    use super::*;
-    use std::simd::cmp::SimdPartialEq;
-    use std::simd::{f64x8, Select};
-
-    /// `poly_sin` on eight lanes — the same operations in the same order,
-    /// expressed through `std::simd` instead of relying on autovectorisation.
-    #[inline(always)]
-    fn poly_sin8(x: f64x8) -> f64x8 {
-        let sp = f64x8::splat;
-        let big = x * sp(INV_PIO2) + sp(TOINT);
-        let fn_ = big - sp(TOINT);
-        let k4 = fn_ - sp(4.0) * ((fn_ * sp(0.25) + sp(TOINT)) - sp(TOINT));
-        let r = x - fn_ * sp(PIO2_HI) - fn_ * sp(PIO2_LO);
-        let z = r * r;
-        let sr = sp(S2) + z * (sp(S3) + z * (sp(S4) + z * (sp(S5) + z * sp(S6))));
-        let s = r + (z * r) * (sp(S1) + z * sr);
-        let cr =
-            z * (sp(C1) + z * (sp(C2) + z * (sp(C3) + z * (sp(C4) + z * (sp(C5) + z * sp(C6))))));
-        let hz = sp(0.5) * z;
-        let w = sp(1.0) - hz;
-        let c = w + (((sp(1.0) - w) - hz) + z * cr);
-        let odd = k4.simd_eq(sp(-1.0)) | k4.simd_eq(sp(1.0));
-        let neg = k4.simd_eq(sp(-2.0)) | k4.simd_eq(sp(2.0)) | k4.simd_eq(sp(-1.0));
-        let v = odd.select(c, s);
-        neg.select(-v, v)
-    }
-
-    pub(super) fn rows(dt: &mut [f64], dg: &mut [f64], p: &KickParams) -> ChunkMoment {
-        let om = f64x8::splat(p.omega_rf);
-        let ph = f64x8::splat(p.phase_rad);
-        let vh = f64x8::splat(p.v_hat);
-        let qv = f64x8::splat(p.q_over_mc2);
-        let dr = f64x8::splat(p.drift);
-        let mut acc_t = f64x8::splat(0.0);
-        let mut acc_g = f64x8::splat(0.0);
-        let full = dt.len() / LANES * LANES;
-        let (dt_head, dt_rem) = dt.split_at_mut(full);
-        let (dg_head, dg_rem) = dg.split_at_mut(full);
-        for (tc, gc) in dt_head
-            .chunks_exact_mut(LANES)
-            .zip(dg_head.chunks_exact_mut(LANES))
-        {
-            let mut t = f64x8::from_slice(tc);
-            let mut g = f64x8::from_slice(gc);
-            let s = poly_sin8(om * t + ph);
-            let v = vh * s;
-            g += qv * v;
-            t += dr * g;
-            acc_t += t;
-            acc_g += g;
-            tc.copy_from_slice(t.as_array());
-            gc.copy_from_slice(g.as_array());
-        }
-        let mut arr_t = acc_t.to_array();
-        let mut arr_g = acc_g.to_array();
-        for j in 0..dt_rem.len() {
-            let s = poly_sin(p.omega_rf * dt_rem[j] + p.phase_rad);
-            let v = p.v_hat * s;
-            dg_rem[j] += p.q_over_mc2 * v;
-            dt_rem[j] += p.drift * dg_rem[j];
-            arr_t[j] += dt_rem[j];
-            arr_g[j] += dg_rem[j];
-        }
-        ChunkMoment {
-            sum_dt: lane_fold(&arr_t),
-            sum_dgamma: lane_fold(&arr_g),
-        }
-    }
-}
-
 /// Apply the kick/drift update to one thread's chunk, writing one
 /// [`ChunkMoment`] per [`REDUCE_QUANTUM`] sub-chunk into `partials`
 /// (`partials.len() == dt.len().div_ceil(REDUCE_QUANTUM)`).
@@ -401,8 +320,6 @@ pub fn kick_drift_chunk(
             KernelBackend::Avx2 => unsafe { rows_avx2(ts, gs, p) },
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Avx512 => unsafe { rows_avx512(ts, gs, p) },
-            #[cfg(feature = "simd")]
-            KernelBackend::Simd => simd8::rows(ts, gs, p),
         };
     }
 }

@@ -1,4 +1,3 @@
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 //! # cil-reftrack — multi-macro-particle reference tracker
 //!
 //! The ESME / LONG1D / BLonD-class offline simulator the paper cites as

@@ -68,7 +68,7 @@ cargo test --release -q --test cavity_failure
 # Writes results/BENCH_loop.json. Full matrix via scripts/bench.sh.
 cargo test --release -q -p cil-bench --test loop_guard -- --include-ignored
 # Campaign-shell overhead guard: Campaign over identical work must stay
-# <= 1.15x a raw parallel_sweep_with_merge (release-only).
+# <= 1.15x a raw parallel_sweep over the same work (release-only).
 cargo test --release -q -p cil-bench --test campaign_guard -- --include-ignored
 # RefTrack wide-lane kernel differential suite: poly-vs-libm ulp bound,
 # backend × thread × chunk × block bit-identity proptests, checkpoint
@@ -95,8 +95,3 @@ cargo run -q --release -p cil-bench --bin bench_service -- \
 # scaling on machines with >= 8 cores (release-only). Writes
 # results/BENCH_service.json.
 cargo test --release -q -p cil-bench --test service_guard -- --include-ignored
-# std::simd backend feature leg: the nightly-gated backend must build and
-# stay bit-identical to the stable backends (RUSTC_BOOTSTRAP unlocks the
-# portable_simd feature gate on the stable toolchain).
-RUSTC_BOOTSTRAP=1 cargo test -q -p cil-reftrack --features simd
-RUSTC_BOOTSTRAP=1 cargo test -q --features simd --test reftrack_kernel

@@ -15,7 +15,7 @@ use cil_core::campaign::{
 };
 use cil_core::error::{CilError, Result as CilResult};
 use cil_core::hil::{EngineKind, TurnLevelLoop};
-use cil_core::sweep::{parallel_sweep_with_merge_digest, SweepPanic};
+use cil_core::sweep::{parallel_sweep, SweepPanic};
 use cil_core::MdeScenario;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -276,26 +276,25 @@ fn fsync_campaign_matches_default() {
     );
 }
 
-/// Satellite proof: a panic escaping a raw `parallel_sweep` carries the
-/// failing point's index and scenario digest, so the campaign layer (and
-/// any other caller) can map it back to the input.
+/// A panic escaping a raw `parallel_sweep` carries the failing point's
+/// index, so the campaign layer (and any other caller) can map it back to
+/// the input and its scenario digest.
 #[test]
 fn sweep_panic_names_the_failing_scenario() {
     let points = scenario_points(6);
     let bad_digest = points[3].digest();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        parallel_sweep_with_merge_digest(
+        parallel_sweep(
             &points,
             2,
             || (),
-            |(), s: &MdeScenario| {
+            |_, s: &MdeScenario| {
                 if s.digest() == bad_digest {
                     panic!("engine diverged");
                 }
                 s.controller.gain
             },
-            |()| {},
-            MdeScenario::digest,
+            |_| {},
         )
     }));
     let payload = result.expect_err("sweep must re-raise");
@@ -303,7 +302,7 @@ fn sweep_panic_names_the_failing_scenario() {
         .downcast::<SweepPanic>()
         .expect("payload is a SweepPanic");
     assert_eq!(sp.index, 3);
-    assert_eq!(sp.digest, bad_digest);
+    assert_eq!(points[sp.index].digest(), bad_digest);
     assert!(sp.message().contains("engine diverged"));
 }
 

@@ -166,12 +166,18 @@ fn sweep_over_cgra_engines_hits_the_kernel_cache() {
     let (hits0, misses0) = (cache.hits(), cache.misses());
 
     let gains = [-2.0, -5.0, -8.0, -12.0];
-    let results = parallel_sweep(&gains, 2, |&gain| {
-        let mut v = s.clone();
-        v.controller.gain = gain;
-        let trace = trace_of(EngineKind::Cgra, &v);
-        trace.mean_phase_deg.len()
-    });
+    let results = parallel_sweep(
+        &gains,
+        2,
+        || (),
+        |_, &gain| {
+            let mut v = s.clone();
+            v.controller.gain = gain;
+            let trace = trace_of(EngineKind::Cgra, &v);
+            trace.mean_phase_deg.len()
+        },
+        |_| {},
+    );
 
     assert_eq!(results.len(), gains.len());
     assert!(results.iter().all(|&rows| rows > 1000));

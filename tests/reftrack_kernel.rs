@@ -8,7 +8,7 @@
 //!    cancellation-dominated neighbourhood of sine zeros).
 //! 2. **Backend bit-identity** — scalar-libm-structured, portable
 //!    autovectorised and every runtime-dispatched wide backend (AVX2,
-//!    AVX-512, `std::simd` when the `simd` feature is on), quantified over
+//!    AVX-512), quantified over
 //!    {threads × chunk size × block size}: trajectories, centroid moments
 //!    and harness traces must agree to the bit.
 //! 3. **Trajectory envelope** — the polynomial kernel against the libm

@@ -17,7 +17,7 @@
 use cil_core::fault::{FaultEvent, FaultKind, FaultProgram, LoopEvent};
 use cil_core::hil::{EngineKind, TurnLevelLoop};
 use cil_core::signalgen::PhaseJumpProgram;
-use cil_core::sweep::parallel_sweep_telemetry;
+use cil_core::sweep::parallel_sweep;
 use cil_core::telemetry::{sample_kernel_cache, TelemetrySnapshot};
 use cil_core::{LoopSupervisor, MdeScenario, TelemetryRegistry};
 use proptest::prelude::*;
@@ -233,17 +233,23 @@ fn sweep_merge_is_exact_and_thread_count_invariant() {
     let gains: Vec<f64> = (0..12).map(|i| -2.0 - 0.5 * f64::from(i)).collect();
     let run_sweep = |threads: usize| {
         let root = TelemetryRegistry::new();
-        let residuals = parallel_sweep_telemetry(&gains, threads, &root, |reg, &gain| {
-            let mut s = MdeScenario::nov24_2023();
-            s.duration_s = 0.02;
-            s.bunches = 1;
-            s.controller.gain = gain;
-            let r = TurnLevelLoop::new(s, EngineKind::Map)
-                .with_telemetry(reg)
-                .run(true)
-                .unwrap();
-            r.phase_deg.values.last().copied().unwrap()
-        });
+        let residuals = parallel_sweep(
+            &gains,
+            threads,
+            TelemetryRegistry::new,
+            |reg, &gain| {
+                let mut s = MdeScenario::nov24_2023();
+                s.duration_s = 0.02;
+                s.bunches = 1;
+                s.controller.gain = gain;
+                let r = TurnLevelLoop::new(s, EngineKind::Map)
+                    .with_telemetry(reg)
+                    .run(true)
+                    .unwrap();
+                r.phase_deg.values.last().copied().unwrap()
+            },
+            |reg| root.absorb(&reg),
+        );
         (root.snapshot(), residuals)
     };
     let (par, res_par) = run_sweep(4);
