@@ -1,20 +1,18 @@
 //! Standing closed-loop throughput benchmark — revolutions per second for
-//! every engine fidelity and execution mode (micro-op plan vs legacy DFG
-//! walk, batched `step_block` vs per-turn stepping).
+//! every engine fidelity and execution mode (batched `step_block` vs
+//! per-turn stepping, with and without a sampled observer).
 //!
 //! Prints the table and writes `results/BENCH_loop.json`. Meaningful in
 //! release builds only (`cargo run --release -p cil-bench --bin
-//! bench_loop`); the release-only `loop_guard` test enforces the 1.5x
-//! plan+batched vs walk+per-turn bound on CI.
+//! bench_loop`); the release-only `loop_guard` test enforces the two
+//! plan+batched bounds on CI.
 //!
 //! Flags: `--revolutions N` (default 10000), `--runs N` (default 5).
 
-use cil_bench::loop_bench::{run_loop_bench, speedup, write_bench_json};
+use cil_bench::loop_bench::{
+    guard_ratios, run_loop_bench, write_bench_json, OBSERVED_VS_PLAN_BOUND, PLAN_VS_MAP_BOUND,
+};
 use cil_bench::{arg_value, Table};
-
-/// The guard bound: plan+batched CGRA must beat the legacy per-turn walk
-/// by at least this factor.
-const BOUND: f64 = 1.5;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -38,12 +36,12 @@ fn main() {
     }
     t.print();
 
-    let ratio = speedup(&rows, "cgra_plan_batched", "cgra_walk_per_turn");
-    let ratio_observed = speedup(&rows, "cgra_plan_observed", "cgra_walk_per_turn");
-    println!("\nplan+batched vs legacy walk per-turn (CGRA): {ratio:.2}x (bound {BOUND}x)");
+    let (plan_vs_map, observed_vs_plan) = guard_ratios(&rows);
+    println!("\nplan+batched CGRA vs map_batched: {plan_vs_map:.3}x (bound {PLAN_VS_MAP_BOUND}x)");
     println!(
-        "plan+batched with observer vs legacy walk per-turn: {ratio_observed:.2}x (bound {BOUND}x)"
+        "plan+batched with observer vs without: {observed_vs_plan:.3}x \
+         (bound {OBSERVED_VS_PLAN_BOUND}x)"
     );
-    let path = write_bench_json(revolutions, runs, &rows, ratio, ratio_observed, BOUND);
+    let path = write_bench_json(revolutions, runs, &rows);
     println!("data -> {}", path.display());
 }

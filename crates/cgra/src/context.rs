@@ -5,18 +5,17 @@
 //! synthesis. This allows very fast iterations of the model."
 //!
 //! A context memory is, per PE, one instruction slot per schedule cycle. We
-//! also provide a compact binary serialisation (via `bytes`-free manual
-//! packing + serde) standing in for the bitstream-patch artifact, so the
+//! also provide a compact binary serialisation (manual little-endian
+//! packing) standing in for the bitstream-patch artifact, so the
 //! "reconfiguration in seconds" workflow can be benchmarked end to end.
 
 use crate::dfg::{Dfg, NodeId};
 use crate::grid::PeId;
 use crate::isa::OpKind;
 use crate::sched::Schedule;
-use serde::{Deserialize, Serialize};
 
 /// One context-memory slot: the operation a PE issues in a given cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContextSlot {
     /// Cycle at which the op is issued.
     pub cycle: u32,
@@ -30,7 +29,7 @@ pub struct ContextSlot {
 }
 
 /// All context memories of a configured CGRA.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContextMemories {
     /// Slots per PE, sorted by cycle.
     pub per_pe: Vec<Vec<ContextSlot>>,

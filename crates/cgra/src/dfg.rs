@@ -11,14 +11,13 @@
 //! values are demoted to registers, see [`Dfg::pipeline_split`]).
 
 use crate::isa::OpKind;
-use serde::{Deserialize, Serialize};
 
 /// Handle of a DFG node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 /// One DFG node: an operation plus its operand edges.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// Operation.
     pub op: OpKind,
@@ -31,7 +30,7 @@ pub struct Node {
 }
 
 /// A dataflow graph for one kernel iteration.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dfg {
     nodes: Vec<Node>,
     next_reg: u16,

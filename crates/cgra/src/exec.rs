@@ -5,19 +5,16 @@
 //! traffic are modelled exactly; the executor is the component the HIL
 //! framework (`cil-core`) drives once per revolution.
 //!
-//! The hot path replays a pre-decoded [`MicroOpPlan`] (see [`crate::plan`]):
+//! The executor replays a pre-decoded [`MicroOpPlan`] (see [`crate::plan`]):
 //! a flat array of micro-ops with pre-resolved value-slot indices, built
-//! once from the `(Dfg, Schedule)` pair. The original node-walk over the
-//! `Arc<Dfg>` is retained as [`CgraExecutor::try_run_iteration_nodewalk`]
-//! for differential testing and benchmarking.
+//! once from the `(Dfg, Schedule)` pair.
 //!
-//! Correctness is anchored three ways: `Schedule::validate` proves the
-//! timing is feasible, [`interpret_dfg`] provides an order-independent
-//! reference evaluation, and the plan replay is differentially tested
-//! against both the interpreter and the node walk.
+//! Correctness is anchored two ways: `Schedule::validate` proves the
+//! timing is feasible, and the plan replay is differentially tested
+//! against [`interpret_dfg`], the order-independent reference evaluation.
 
 use crate::context::ContextMemories;
-use crate::dfg::{Dfg, NodeId};
+use crate::dfg::Dfg;
 use crate::isa::OpKind;
 use crate::plan::MicroOpPlan;
 use crate::sched::Schedule;
@@ -31,16 +28,12 @@ pub enum ExecError {
     /// An `Input(p)` node fired but the caller supplied no value for port
     /// `p`.
     MissingInput(u16),
-    /// A pure op could not be evaluated (malformed operand count — a
-    /// compiler bug, not a data fault).
-    PureOpFailed(NodeId),
 }
 
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::MissingInput(p) => write!(f, "missing input port {p}"),
-            Self::PureOpFailed(id) => write!(f, "pure op at node {} failed to evaluate", id.0),
         }
     }
 }
@@ -118,9 +111,6 @@ pub struct CgraExecutor {
     /// Scratch node-value store reused across iterations, seeded from the
     /// plan's constant-folded template.
     values: Vec<f64>,
-    /// Execution order: node ids sorted by (start cycle, pe). Used only by
-    /// the legacy node-walk path.
-    order: Vec<NodeId>,
     /// Iterations executed.
     iterations: u64,
 }
@@ -153,11 +143,6 @@ impl CgraExecutor {
             .validate(&dfg)
             .expect("schedule must be valid for its DFG");
         let contexts = ContextMemories::from_schedule(&dfg, &schedule);
-        let mut order: Vec<NodeId> = dfg.nodes().map(|(id, _)| id).collect();
-        order.sort_by_key(|&id| {
-            let p = schedule.placement(id);
-            (p.start, p.pe.0)
-        });
         let regs = vec![0.0; dfg.reg_count() as usize];
         let values = plan.values_template().to_vec();
         Self {
@@ -168,7 +153,6 @@ impl CgraExecutor {
             regs_current: regs.clone(),
             regs_next: regs,
             values,
-            order,
             iterations: 0,
         }
     }
@@ -263,71 +247,6 @@ impl CgraExecutor {
         self.regs_current.copy_from_slice(&self.regs_next);
         self.iterations += 1;
         Ok(())
-    }
-
-    /// The pre-plan execution path: walk the `Arc<Dfg>` node by node in
-    /// schedule order, dispatching on [`OpKind`] per node. Byte-for-byte
-    /// the behaviour the micro-op plan must reproduce; kept public as the
-    /// differential-test oracle and the `bench_loop` baseline.
-    pub fn try_run_iteration_nodewalk<B: SensorBus>(
-        &mut self,
-        bus: &mut B,
-        inputs: &[f64],
-    ) -> Result<Vec<(u16, f64)>, ExecError> {
-        let mut outputs = Vec::new();
-        for &id in &self.order {
-            let node = self.dfg.node(id);
-            let v = match node.op {
-                OpKind::Input(p) => match inputs.get(p as usize) {
-                    Some(&v) => v,
-                    None => {
-                        self.regs_next.copy_from_slice(&self.regs_current);
-                        return Err(ExecError::MissingInput(p));
-                    }
-                },
-                OpKind::Output(p) => {
-                    let v = self.values[node.operands[0].0 as usize];
-                    outputs.push((p, v));
-                    v
-                }
-                OpKind::SensorRead(p) => {
-                    let addr = self.values[node.operands[0].0 as usize];
-                    bus.read(p, addr)
-                }
-                OpKind::ActuatorWrite(p) => {
-                    let v = self.values[node.operands[0].0 as usize];
-                    bus.write(p, v);
-                    v
-                }
-                OpKind::RegRead(r) => self.regs_current[r as usize],
-                OpKind::RegWrite(r) => {
-                    let v = self.values[node.operands[0].0 as usize];
-                    self.regs_next[r as usize] = v;
-                    v
-                }
-                ref pure => {
-                    // Gather operands without allocating.
-                    let mut args = [0.0f64; 3];
-                    for (i, &o) in node.operands.iter().enumerate() {
-                        args[i] = self.values[o.0 as usize];
-                    }
-                    match pure.eval_pure(&args[..node.operands.len()]) {
-                        Some(v) => v,
-                        None => {
-                            // Roll partially-written next-iteration register
-                            // state back so a retry starts clean.
-                            self.regs_next.copy_from_slice(&self.regs_current);
-                            return Err(ExecError::PureOpFailed(id));
-                        }
-                    }
-                }
-            };
-            self.values[id.0 as usize] = v;
-        }
-        // Commit loop-carried registers.
-        self.regs_current.copy_from_slice(&self.regs_next);
-        self.iterations += 1;
-        Ok(outputs)
     }
 
     /// Warm-up for pipelined kernels: the stage-bridging registers start at
@@ -542,29 +461,23 @@ mod tests {
     }
 
     #[test]
-    fn executor_matches_interpreter_and_nodewalk() {
-        // Three-way differential test over several iterations and varying
-        // sensors: planned replay vs. reference interpreter vs. node walk.
+    fn executor_matches_interpreter() {
+        // Differential test over several iterations and varying sensors:
+        // planned replay vs. reference interpreter.
         let g = kernel();
         let s = ListScheduler::new(GridConfig::mesh_5x5()).schedule(&g);
-        let mut ex = CgraExecutor::new(g.clone(), s.clone());
-        let mut legacy = CgraExecutor::new(g.clone(), s);
+        let mut ex = CgraExecutor::new(g.clone(), s);
         let mut regs = vec![0.0f64; g.reg_count() as usize];
         for i in 0..10 {
             let mut bus_a = MapBus::default();
             let mut bus_b = MapBus::default();
-            let mut bus_c = MapBus::default();
             let sensor_val = (i as f64 + 1.0) * 1.7;
             bus_a.set_sensor(0, sensor_val);
             bus_b.set_sensor(0, sensor_val);
-            bus_c.set_sensor(0, sensor_val);
             let out_a = ex.run_iteration(&mut bus_a, &[]);
             let out_b = interpret_dfg(&g, &mut regs, &mut bus_b, &[]);
-            let out_c = legacy.try_run_iteration_nodewalk(&mut bus_c, &[]).unwrap();
             assert_eq!(out_a, out_b, "iteration {i}");
-            assert_eq!(out_a, out_c, "iteration {i} (node walk)");
             assert_eq!(bus_a.writes, bus_b.writes);
-            assert_eq!(bus_a.writes, bus_c.writes);
         }
     }
 

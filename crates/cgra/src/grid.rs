@@ -11,10 +11,8 @@
 //! default) — the realistic placement constraint the scheduler has to work
 //! around.
 
-use serde::{Deserialize, Serialize};
-
 /// Interconnect topology between neighbouring PEs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// 4-neighbour mesh (N, E, S, W).
     Mesh,
@@ -25,11 +23,11 @@ pub enum Topology {
 }
 
 /// A PE index (row-major).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeId(pub u16);
 
 /// Grid configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridConfig {
     /// Number of rows.
     pub rows: u16,

@@ -11,10 +11,8 @@
 //! the main free parameter when comparing against the paper's tick counts
 //! (see DESIGN.md §17).
 
-use serde::{Deserialize, Serialize};
-
 /// Operation kind of a DFG node / context-memory slot.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OpKind {
     /// Floating-point constant, materialised in a PE register.
     Const(f64),

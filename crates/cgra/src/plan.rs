@@ -17,8 +17,7 @@
 //! * **Output forwarding** — `Output` nodes only copy their operand's value
 //!   slot; they are collected into a dedicated output stream `(port, slot)`
 //!   replayed after the compute stream (every slot is written exactly once,
-//!   so reading at the end observes the same value the legacy walk read
-//!   in-place). Consumers of an `Output` node are rewired to its source.
+//!   so reading at the end observes the same value an in-place read would). Consumers of an `Output` node are rewired to its source.
 //! * **Stream typing** — ops are pre-split by kind (input / sensor /
 //!   register / pure / output) at the discriminant level, with per-stream
 //!   counts recorded in [`StreamStats`]. The compute stream itself stays in
@@ -26,10 +25,9 @@
 //!   mid-iteration fault point are order-observable through the
 //!   [`crate::exec::SensorBus`]; only the output stream is hoisted.
 //!
-//! Bit-identity with [`crate::exec::interpret_dfg`] and with the legacy
-//! node-walk executor is enforced by the differential proptest suite
-//! (`tests/plan_equivalence.rs`), including `ExecError` cases and the
-//! register-rollback guarantee.
+//! Bit-identity with [`crate::exec::interpret_dfg`] is enforced by the
+//! differential proptest suite (`tests/plan_equivalence.rs`), including
+//! the `MissingInput` register-rollback guarantee.
 
 use crate::dfg::{Dfg, NodeId};
 use crate::isa::OpKind;
@@ -290,7 +288,7 @@ impl MicroOpPlan {
         if dfg.len() > usize::from(u16::MAX) {
             return Err(PlanError::TooManyNodes(dfg.len()));
         }
-        // Schedule order, identical to the legacy executor's node walk.
+        // Schedule order: (start cycle, PE).
         let mut order: Vec<NodeId> = dfg.nodes().map(|(id, _)| id).collect();
         order.sort_by_key(|&id| {
             let p = schedule.placement(id);

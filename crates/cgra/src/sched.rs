@@ -17,7 +17,6 @@
 
 use crate::dfg::{Dfg, NodeId};
 use crate::grid::{GridConfig, PeId};
-use serde::{Deserialize, Serialize};
 
 /// Why a DFG could not be scheduled on a grid. These are input problems
 /// (the DFG/grid combination is unusable), not scheduler bugs.
@@ -52,7 +51,7 @@ impl std::fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// Placement of one DFG node in space and time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Executing PE.
     pub pe: PeId,
@@ -63,7 +62,7 @@ pub struct Placement {
 }
 
 /// A complete schedule for one kernel iteration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// Grid the schedule is bound to.
     pub grid: GridConfig,
@@ -143,7 +142,7 @@ impl Schedule {
 /// Ready-list priority heuristic (the "customised" part of a customised
 /// resource-constrained list scheduler — compared in the scheduler
 /// ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerPolicy {
     /// Longest latency-weighted path to a sink (classic critical-path
     /// priority; the default).

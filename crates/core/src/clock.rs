@@ -7,10 +7,8 @@
 //! facility-wide low-jitter reference ("accuracy of 100 picoseconds per
 //! kilometre", jitter "in the low femtosecond range").
 
-use serde::{Deserialize, Serialize};
-
 /// A clock domain with a nominal frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockDomain {
     /// Nominal frequency, Hz.
     pub frequency: f64,

@@ -17,12 +17,11 @@
 
 use cil_dsp::fir::FirFilter;
 use cil_dsp::iir::DcBlocker;
-use serde::{Deserialize, Serialize};
 
 /// Controller parameters. Defaults reproduce the evaluation's settings
 /// ("f_pass = 1.4 kHz, gain = −5 and recursion factor = 0.99, which are the
 /// optimal parameters according to [8]").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerParams {
     /// Pass frequency of the FIR lowpass, Hz.
     pub f_pass: f64,

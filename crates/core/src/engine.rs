@@ -606,9 +606,6 @@ pub struct CgraEngine {
     plant: CavityPlant,
     /// Caller-owned output scratch for the executor's allocation-free path.
     out_scratch: Vec<(u16, f64)>,
-    /// Replay the legacy node-walk instead of the micro-op plan (benchmark
-    /// baseline; bit-identical, slower).
-    nodewalk: bool,
 }
 
 impl CgraEngine {
@@ -674,20 +671,12 @@ impl CgraEngine {
             faults: s.faults.clone(),
             plant: CavityPlant::from_program(&s.faults),
             out_scratch: Vec::with_capacity(output_count),
-            nodewalk: false,
         })
     }
 
     /// The cached compilation artifact this engine runs.
     pub fn compiled(&self) -> &CompiledKernel {
         &self.compiled
-    }
-
-    /// Switch between the pre-decoded micro-op plan (default) and the
-    /// legacy per-node walk of the DFG. The two are bit-identical; the walk
-    /// exists as the differential oracle and benchmark baseline.
-    pub fn set_nodewalk(&mut self, nodewalk: bool) {
-        self.nodewalk = nodewalk;
     }
 }
 
@@ -714,15 +703,11 @@ impl BeamEngine for CgraEngine {
             self.bus.gap_amp = self.bus.amp * c.scale;
             self.bus.gap_phase_rad += c.phase_rad;
         }
-        let run = if self.nodewalk {
-            self.executor
-                .try_run_iteration_nodewalk(&mut self.bus, &[])
-                .map(|_| ())
-        } else {
-            self.executor
-                .try_run_iteration_into(&mut self.bus, &[], &mut self.out_scratch)
-        };
-        if run.is_err() {
+        if self
+            .executor
+            .try_run_iteration_into(&mut self.bus, &[], &mut self.out_scratch)
+            .is_err()
+        {
             return EngineStep::Lost(LossCause::NonFinitePhase);
         }
         for (out, &dt) in phase_out.iter_mut().zip(&self.bus.dt_out) {

@@ -19,13 +19,12 @@ use cil_dsp::period::PeriodLengthDetector;
 use cil_dsp::ring_buffer::CaptureRingBuffer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// What the second DAC channel shows ("a monitoring signal to either show
 /// the phase difference calculated in the model or mirror the generated
 /// signal, this can be adjusted at runtime", Section III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonitorMode {
     /// Output the model's Δt (scaled to volts).
     PhaseDifference,
@@ -103,7 +102,7 @@ impl FrameworkConfig {
 }
 
 /// One recorded revolution (the DRAM recording of Section III-B).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RevolutionRecord {
     /// Sample index of the triggering zero crossing.
     pub crossing_sample: u64,

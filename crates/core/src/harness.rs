@@ -231,6 +231,43 @@ struct SupCtx<'a> {
     t_rev: f64,
 }
 
+impl SupCtx<'_> {
+    /// Demote the engine in `slot` to fidelity `to` at `turn`: audit the
+    /// demotion, seed the fresh engine at `time_s` with the control phase,
+    /// and re-arm the watchdog after the rows already in `trace`. The
+    /// caller counts the watchdog firing.
+    fn demote<S: EngineSlot>(
+        &mut self,
+        to: EngineKind,
+        turn: usize,
+        time_s: f64,
+        slot: &mut S,
+        trace: &mut LoopTrace,
+        queue: &mut EventQueue,
+    ) -> Result<()> {
+        trace.events.push(LoopEvent::EngineDemoted {
+            turn,
+            time_s,
+            from: *self.kind,
+            to,
+        });
+        // The cavity plant's dynamic state (compensation boost, integrated
+        // detune phase) survives the fidelity swap — the fault degrades the
+        // *plant*, not the model of it.
+        let cavity = slot.engine().cavity_state();
+        slot.rebuild(to, self.scenario)?;
+        slot.engine().seed_state(time_s, *self.ctrl_phase_rad);
+        slot.engine().restore_cavity(&cavity);
+        *self.kind = to;
+        self.supervisor.reset_watchdog();
+        queue.schedule(
+            SimEvent::Watchdog,
+            trace.times.len() as u64 + watchdog_headroom(self.supervisor),
+        );
+        Ok(())
+    }
+}
+
 /// Measured rows before the watchdog could possibly intervene: it counts
 /// *consecutive* bad rows, so it cannot fire before `max_consecutive_bad -
 /// bad_streak` more rows have passed. Floored at 1 so the loop always makes
@@ -541,28 +578,8 @@ impl LoopHarness {
                                 && s.supervisor.config.allow_demotion
                             {
                                 if let Some(to) = s.kind.demote() {
-                                    trace.events.push(LoopEvent::EngineDemoted {
-                                        turn,
-                                        time_s,
-                                        from: *s.kind,
-                                        to,
-                                    });
-                                    // The cavity plant's dynamic state
-                                    // (compensation boost, integrated detune
-                                    // phase) survives the fidelity swap — the
-                                    // fault degrades the *plant*, not the
-                                    // model of it.
-                                    let cavity = slot.engine().cavity_state();
-                                    slot.rebuild(to, s.scenario)?;
-                                    slot.engine().seed_state(time_s, *s.ctrl_phase_rad);
-                                    slot.engine().restore_cavity(&cavity);
-                                    *s.kind = to;
-                                    s.supervisor.reset_watchdog();
+                                    s.demote(to, turn, time_s, slot, &mut trace, &mut queue)?;
                                     queue.count_fired(SimEvent::Watchdog);
-                                    queue.schedule(
-                                        SimEvent::Watchdog,
-                                        trace.times.len() as u64 + watchdog_headroom(s.supervisor),
-                                    );
                                     break;
                                 }
                             }
@@ -691,23 +708,9 @@ impl LoopHarness {
                                     };
                                     match demoted {
                                         Some(to) => {
-                                            trace.events.push(LoopEvent::EngineDemoted {
-                                                turn,
-                                                time_s,
-                                                from: *s.kind,
-                                                to,
-                                            });
-                                            let cavity = slot.engine().cavity_state();
-                                            slot.rebuild(to, s.scenario)?;
-                                            slot.engine().seed_state(time_s, *s.ctrl_phase_rad);
-                                            slot.engine().restore_cavity(&cavity);
-                                            *s.kind = to;
-                                            s.supervisor.reset_watchdog();
-                                            queue.schedule(
-                                                SimEvent::Watchdog,
-                                                trace.times.len() as u64
-                                                    + watchdog_headroom(s.supervisor),
-                                            );
+                                            s.demote(
+                                                to, turn, time_s, slot, &mut trace, &mut queue,
+                                            )?;
                                         }
                                         None => {
                                             trace.outcome = LoopOutcome::Lost {

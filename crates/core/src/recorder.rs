@@ -4,14 +4,18 @@
 //! the FPGA board, which can be read out from a computer via the serial
 //! port" (Section III-B). This module defines that wire format: a compact
 //! little-endian stream of [`RevolutionRecord`]s with a magic header and a
-//! length-checked layout, plus streaming encode/decode built on `bytes`.
+//! length-checked layout, written and read with the same [`Codec`]
+//! primitives as every other persisted layout (`crate::checkpoint`).
 
+use crate::checkpoint::{Codec, Dec, Enc};
 use crate::error::CilError;
 use crate::framework::RevolutionRecord;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Magic bytes identifying a recording stream ("CIL" + version 1).
 pub const MAGIC: [u8; 4] = *b"CIL\x01";
+
+/// Bytes before the first record: magic, bunch count, record count.
+const HEADER_BYTES: usize = 16;
 
 /// Encode a recording into the serial wire format.
 ///
@@ -21,12 +25,14 @@ pub const MAGIC: [u8; 4] = *b"CIL\x01";
 /// [`CilError::Recording`] error, not a panic: the recorder sits on the
 /// run path, and a malformed capture must surface as a value the caller
 /// (or a supervisor) can react to.
-pub fn encode(records: &[RevolutionRecord]) -> crate::error::Result<Bytes> {
+pub fn encode(records: &[RevolutionRecord]) -> crate::error::Result<Vec<u8>> {
     let bunches = records.first().map_or(0, |r| r.dt.len());
-    let mut buf = BytesMut::with_capacity(16 + records.len() * (16 + 8 * bunches));
-    buf.put_slice(&MAGIC);
-    buf.put_u32_le(bunches as u32);
-    buf.put_u64_le(records.len() as u64);
+    let mut e = Enc {
+        buf: Vec::with_capacity(HEADER_BYTES + records.len() * (16 + 8 * bunches)),
+    };
+    e.buf.extend_from_slice(&MAGIC);
+    (bunches as u32).enc(&mut e);
+    (records.len() as u64).enc(&mut e);
     for (i, r) in records.iter().enumerate() {
         if r.dt.len() != bunches {
             return Err(CilError::Recording(format!(
@@ -34,13 +40,13 @@ pub fn encode(records: &[RevolutionRecord]) -> crate::error::Result<Bytes> {
                 r.dt.len()
             )));
         }
-        buf.put_u64_le(r.crossing_sample);
-        buf.put_f64_le(r.period_s);
-        for &dt in &r.dt {
-            buf.put_f64_le(dt);
+        r.crossing_sample.enc(&mut e);
+        r.period_s.enc(&mut e);
+        for dt in &r.dt {
+            dt.enc(&mut e);
         }
     }
-    Ok(buf.freeze())
+    Ok(e.buf)
 }
 
 /// Decoding errors.
@@ -66,40 +72,39 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Decode a recording stream.
-pub fn decode(mut data: Bytes) -> Result<Vec<RevolutionRecord>, DecodeError> {
-    if data.remaining() < 16 {
+/// Decode a recording stream. Bytes after the last declared record are
+/// ignored.
+///
+/// A record count whose records cannot fit in the bytes that follow is
+/// [`DecodeError::Truncated`], checked before anything is allocated.
+pub fn decode(data: &[u8]) -> Result<Vec<RevolutionRecord>, DecodeError> {
+    if data.len() < HEADER_BYTES {
         return Err(DecodeError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if magic != MAGIC {
+    if data[..MAGIC.len()] != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    let bunches = data.get_u32_le() as usize;
-    let count = data.get_u64_le() as usize;
-    if bunches > 1 << 16 || count > 1 << 40 {
+    let mut d = Dec::new(&data[MAGIC.len()..]);
+    // The header is in bounds, so only the record-count cap can fail, and
+    // after it no record read can.
+    let truncated = |_| DecodeError::Truncated;
+    let bunches = u32::dec(&mut d).map_err(truncated)? as usize;
+    if bunches > 1 << 16 {
         return Err(DecodeError::Corrupt);
     }
-    let record_size = 16 + 8 * bunches;
-    if data.remaining() < count.saturating_mul(record_size) {
-        return Err(DecodeError::Truncated);
-    }
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let crossing_sample = data.get_u64_le();
-        let period_s = data.get_f64_le();
-        let mut dt = Vec::with_capacity(bunches);
-        for _ in 0..bunches {
-            dt.push(data.get_f64_le());
-        }
-        out.push(RevolutionRecord {
-            crossing_sample,
-            period_s,
-            dt,
-        });
-    }
-    Ok(out)
+    let count = d.count::<u64>(16 + 8 * bunches).map_err(truncated)?;
+    (0..count)
+        .map(|_| {
+            Ok(RevolutionRecord {
+                crossing_sample: u64::dec(&mut d)?,
+                period_s: f64::dec(&mut d)?,
+                dt: (0..bunches)
+                    .map(|_| f64::dec(&mut d))
+                    .collect::<Result<_, _>>()?,
+            })
+        })
+        .collect::<Result<_, _>>()
+        .map_err(truncated)
 }
 
 #[cfg(test)]
@@ -120,36 +125,48 @@ mod tests {
     fn roundtrip() {
         let records = sample(100, 4);
         let encoded = encode(&records).unwrap();
-        let decoded = decode(encoded).unwrap();
+        let decoded = decode(&encoded).unwrap();
         assert_eq!(decoded, records);
     }
 
     #[test]
     fn empty_recording_roundtrips() {
-        let decoded = decode(encode(&[]).unwrap()).unwrap();
+        let decoded = decode(&encode(&[]).unwrap()).unwrap();
         assert!(decoded.is_empty());
     }
 
     #[test]
     fn detects_bad_magic() {
-        let mut data = encode(&sample(3, 1)).unwrap().to_vec();
+        let mut data = encode(&sample(3, 1)).unwrap();
         data[0] = b'X';
-        assert_eq!(decode(Bytes::from(data)), Err(DecodeError::BadMagic));
+        assert_eq!(decode(&data), Err(DecodeError::BadMagic));
     }
 
     #[test]
     fn detects_truncation() {
         let data = encode(&sample(10, 2)).unwrap();
-        let cut = data.slice(0..data.len() - 5);
-        assert_eq!(decode(cut), Err(DecodeError::Truncated));
+        for len in 0..data.len() {
+            assert_eq!(
+                decode(&data[..len]),
+                Err(DecodeError::Truncated),
+                "prefix {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_record_count_fails_before_allocating() {
+        let mut data = encode(&sample(2, 1)).unwrap();
+        data[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(decode(&data), Err(DecodeError::Truncated));
     }
 
     #[test]
     fn detects_corrupt_header() {
-        let mut data = encode(&sample(1, 1)).unwrap().to_vec();
+        let mut data = encode(&sample(1, 1)).unwrap();
         // Blow up the bunch count field.
         data[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode(Bytes::from(data)), Err(DecodeError::Corrupt));
+        assert_eq!(decode(&data), Err(DecodeError::Corrupt));
     }
 
     #[test]
@@ -159,6 +176,33 @@ mod tests {
         let err = encode(&records).expect_err("mixed bunch counts must be rejected");
         assert!(matches!(err, CilError::Recording(_)));
         assert!(err.to_string().contains("record 1"));
+    }
+
+    /// The wire bytes are pinned: FNV-1a digests of recordings with 0, 1, 2
+    /// and 4 bunches, including an empty one. A change here changes what
+    /// every existing capture decodes to.
+    #[test]
+    fn golden_bytes_are_pinned() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let got: Vec<(usize, usize, u64)> = [(0, 0), (5, 0), (7, 1), (3, 2), (11, 4)]
+            .iter()
+            .map(|&(n, b)| (n, b, fnv1a(&encode(&sample(n, b)).unwrap())))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (0, 0, 0x7364_a31e_a962_0962),
+                (5, 0, 0xd2a1_3f42_c1d0_75d7),
+                (7, 1, 0x4890_4781_c226_b6fd),
+                (3, 2, 0x48a7_0948_ac61_3039),
+                (11, 4, 0x10bd_a530_5501_dabd),
+            ],
+            "{got:#x?}"
+        );
     }
 
     #[test]

@@ -7,12 +7,11 @@
 //! producing one (reference, gap) voltage pair per system-clock sample.
 
 use cil_dsp::dds::Dds;
-use serde::{Deserialize, Serialize};
 
 /// The phase-jump program of the evaluation: the AWG toggles a phase offset
 /// on and off at a fixed interval ("The phase jump was toggled every
 /// twentieth of a second", amplitude 8°).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseJumpProgram {
     /// Jump amplitude, degrees (8° in the test setup, 10° in the MDE).
     pub amplitude_deg: f64,

@@ -113,23 +113,18 @@ struct ArenaSlot {
 /// bookkeeping needed to re-admit it ([`EngineArena::checkin`]). The engine
 /// is handed over rewound to its freshly-built state; the holder may
 /// restore any saved state on top.
-pub struct ArenaLease {
-    engine: Box<dyn BeamEngine>,
-    kind: EngineKind,
-    scenario: MdeScenario,
-    fresh: crate::engine::EngineState,
-}
+pub struct ArenaLease(ArenaSlot);
 
 impl ArenaLease {
     /// The leased engine (boxed, so a supervised slice can swap the
     /// fidelity in place on demotion).
     pub fn engine(&mut self) -> &mut Box<dyn BeamEngine> {
-        &mut self.engine
+        &mut self.0.engine
     }
 
     /// Fidelity the lease was checked out under.
     pub fn kind(&self) -> EngineKind {
-        self.kind
+        self.0.kind
     }
 }
 
@@ -154,17 +149,27 @@ impl EngineArena {
             .position(|s| s.kind == kind && s.scenario.engine_config_eq(scenario))
     }
 
-    /// Take the matching slot out, rewound to its freshly-built state; a
-    /// rewind failure (the fresh snapshot no longer fits the engine that
-    /// produced it) discards the slot — the caller must rebuild.
-    fn take_rewound(&mut self, scenario: &MdeScenario, kind: EngineKind) -> Option<ArenaSlot> {
-        let i = self.find(scenario, kind)?;
-        let mut slot = self.slots.remove(i);
-        if slot.engine.restore_state(&slot.fresh) {
-            Some(slot)
-        } else {
-            None
+    /// Take the slot matching (`kind`, `scenario`) out, rewound to its
+    /// freshly-built state (a hit), or build a fresh one (a miss). A rewind
+    /// failure (the fresh snapshot no longer fits the engine that produced
+    /// it) discards the slot and counts as a miss.
+    fn take_or_build(&mut self, scenario: &MdeScenario, kind: EngineKind) -> Result<ArenaSlot> {
+        if let Some(i) = self.find(scenario, kind) {
+            let mut slot = self.slots.remove(i);
+            if slot.engine.restore_state(&slot.fresh) {
+                self.hits += 1;
+                return Ok(slot);
+            }
         }
+        let engine = kind.build(scenario)?;
+        let fresh = engine.save_state();
+        self.misses += 1;
+        Ok(ArenaSlot {
+            kind,
+            scenario: scenario.clone(),
+            engine,
+            fresh,
+        })
     }
 
     /// Push a slot, evicting the least-recently-used one over capacity.
@@ -183,23 +188,8 @@ impl EngineArena {
         scenario: &MdeScenario,
         kind: EngineKind,
     ) -> Result<&mut dyn BeamEngine> {
-        match self.take_rewound(scenario, kind) {
-            Some(slot) => {
-                self.hits += 1;
-                self.admit(slot);
-            }
-            None => {
-                let engine = kind.build(scenario)?;
-                let fresh = engine.save_state();
-                self.misses += 1;
-                self.admit(ArenaSlot {
-                    kind,
-                    scenario: scenario.clone(),
-                    engine,
-                    fresh,
-                });
-            }
-        }
+        let slot = self.take_or_build(scenario, kind)?;
+        self.admit(slot);
         Ok(self
             .slots
             .last_mut()
@@ -212,29 +202,7 @@ impl EngineArena {
     /// caller owns it until [`Self::checkin`]. The engine comes rewound to
     /// its freshly-built state, bit-identical to a new build.
     pub fn checkout(&mut self, scenario: &MdeScenario, kind: EngineKind) -> Result<ArenaLease> {
-        let slot = match self.take_rewound(scenario, kind) {
-            Some(slot) => {
-                self.hits += 1;
-                slot
-            }
-            None => {
-                let engine = kind.build(scenario)?;
-                let fresh = engine.save_state();
-                self.misses += 1;
-                ArenaSlot {
-                    kind,
-                    scenario: scenario.clone(),
-                    engine,
-                    fresh,
-                }
-            }
-        };
-        Ok(ArenaLease {
-            engine: slot.engine,
-            kind: slot.kind,
-            scenario: slot.scenario,
-            fresh: slot.fresh,
-        })
+        self.take_or_build(scenario, kind).map(ArenaLease)
     }
 
     /// Return a checked-out engine to the warm pool. Callers must *drop*
@@ -243,30 +211,20 @@ impl EngineArena {
     /// box's contents; [`Self::checkin`] detects the mismatch and discards
     /// the lease rather than poisoning the cache.
     pub fn checkin(&mut self, lease: ArenaLease) {
-        let ArenaLease {
-            mut engine,
-            kind,
-            scenario,
-            fresh,
-        } = lease;
+        let mut slot = lease.0;
         // A demoted lease holds a different fidelity than it was checked
         // out under; its fresh-state snapshot no longer fits the box's
         // contents. The rewind doubles as the compatibility check — on
         // failure the lease is discarded rather than poisoning the cache.
-        if !engine.restore_state(&fresh) {
+        if !slot.engine.restore_state(&slot.fresh) {
             return;
         }
         // One warm engine per key: a concurrent-looking checkout/checkin
         // sequence on the same key keeps the most recent engine.
-        if let Some(i) = self.find(&scenario, kind) {
+        if let Some(i) = self.find(&slot.scenario, slot.kind) {
             self.slots.remove(i);
         }
-        self.admit(ArenaSlot {
-            kind,
-            scenario,
-            engine,
-            fresh,
-        });
+        self.admit(slot);
     }
 
     /// Leases served from the cached engine.

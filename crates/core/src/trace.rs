@@ -7,10 +7,9 @@
 //! after a phase jump, and the closed-loop damping time.
 
 use cil_dsp::fir::FirFilter;
-use serde::{Deserialize, Serialize};
 
 /// A uniformly sampled time series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     /// Time of the first sample, seconds.
     pub t0: f64,
@@ -149,7 +148,7 @@ impl TimeSeries {
 
 /// Scores of a phase-jump response (one jump event within a trace), the
 /// Section V observables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JumpResponse {
     /// Phase level before the jump (deg).
     pub baseline_deg: f64,

@@ -10,10 +10,9 @@ use crate::machine::OperatingPoint;
 use crate::synchrotron::{SynchrotronCalc, SynchrotronError};
 use rand::distributions::Distribution;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Supported bunch profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BunchShape {
     /// Gaussian in both planes — the common SIS18 observation
     /// ("often Gaussian", Section I).
@@ -24,7 +23,7 @@ pub enum BunchShape {
 }
 
 /// A matched-bunch specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BunchSpec {
     /// Profile family.
     pub shape: BunchShape,
@@ -141,7 +140,7 @@ impl Distribution<f64> for Normal {
 
 /// Summary statistics of an ensemble — used by tests and by the mode
 /// diagnostics in [`crate::modes`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnsembleStats {
     /// Mean of the samples.
     pub mean: f64,

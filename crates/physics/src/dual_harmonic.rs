@@ -12,10 +12,9 @@
 use crate::constants::TWO_PI;
 use crate::machine::OperatingPoint;
 use crate::tracking::TwoParticleMap;
-use serde::{Deserialize, Serialize};
 
 /// A dual-harmonic gap-voltage configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualHarmonicRf {
     /// Fundamental peak voltage V₁, volts.
     pub v1: f64,

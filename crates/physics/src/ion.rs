@@ -5,18 +5,15 @@
 //! as ready-made constants, and arbitrary species can be constructed.
 
 use crate::constants::{AMU_EV, ELECTRON_REST_EV, PROTON_REST_EV};
-use serde::{Deserialize, Serialize};
 
 /// An ion species circulating in the synchrotron.
 ///
 /// `charge_number` is the net charge in units of the elementary charge
 /// (the `Q` of Eqs. 2–3, when voltages are expressed in volts and energies in
 /// eV). `rest_energy_ev` is the ion rest energy `m c²` in eV.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IonSpecies {
-    /// Human-readable species label, e.g. `"14N7+"`. Not serialised (it is
-    /// display-only); deserialised species get an empty label.
-    #[serde(skip)]
+    /// Human-readable species label, e.g. `"14N7+"` (display-only).
     pub name: &'static str,
     /// Mass number A (number of nucleons); 1 for a proton.
     pub mass_number: u32,
@@ -124,11 +121,5 @@ mod tests {
     fn uranium_is_heavy() {
         let u = IonSpecies::u238_73plus();
         assert!(u.rest_energy_ev > 221e9 && u.rest_energy_ev < 222e9);
-    }
-
-    #[test]
-    fn species_is_serializable() {
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<IonSpecies>();
     }
 }

@@ -8,10 +8,9 @@
 use crate::constants::C;
 use crate::ion::IonSpecies;
 use crate::relativity;
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of a synchrotron ring and the chosen ion optics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineParams {
     /// Reference-orbit length `l_R` in metres (the paper's constant orbit).
     pub orbit_length_m: f64,
@@ -90,7 +89,7 @@ impl MachineParams {
 /// A fully specified operating point: ring + ion + reference energy + gap
 /// voltage amplitude. This is the tuple every experiment in the evaluation
 /// is parameterised by.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Ring and optics.
     pub machine: MachineParams,

@@ -6,10 +6,8 @@
 //! extracts mode amplitudes from ensemble trajectories so those experiments
 //! can be scored quantitatively.
 
-use serde::{Deserialize, Serialize};
-
 /// Time series of ensemble moments, one entry per revolution.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MomentHistory {
     /// Centroid ⟨Δt⟩ per turn, seconds — the dipole coordinate.
     pub centroid: Vec<f64>,
@@ -39,7 +37,7 @@ impl MomentHistory {
 }
 
 /// Result of a single-mode analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModeAnalysis {
     /// Dominant oscillation frequency in units of 1/turn.
     pub frequency_per_turn: f64,

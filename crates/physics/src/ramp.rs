@@ -11,11 +11,10 @@ use crate::constants::TWO_PI;
 use crate::machine::MachineParams;
 use crate::relativity;
 use crate::tracking::TwoParticleMap;
-use serde::{Deserialize, Serialize};
 
 /// Piecewise-linear set-value curve (time → value), the shape LLRF control
 /// systems actually play out.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Curve {
     /// (time s, value) breakpoints, strictly increasing in time.
     pub points: Vec<(f64, f64)>,
@@ -66,7 +65,7 @@ impl Curve {
 }
 
 /// A complete ramp description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RampProgram {
     /// Revolution-frequency set curve f_R(t), Hz.
     pub f_rev: Curve,
@@ -118,7 +117,7 @@ pub struct RampTracker {
 }
 
 /// One revolution's worth of ramp-tracking telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RampSample {
     /// Machine time at the end of the revolution, s.
     pub time: f64,

@@ -21,11 +21,10 @@ use crate::constants::TWO_PI;
 use crate::ion::IonSpecies;
 use crate::machine::MachineParams;
 use crate::relativity;
-use serde::{Deserialize, Serialize};
 
 /// Error returned when a synchrotron-frequency computation is requested at
 /// an unstable operating point.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SynchrotronError {
     /// The requested phase/energy combination gives no stable oscillation
     /// (e.g. stationary bucket exactly at transition energy).

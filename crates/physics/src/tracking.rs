@@ -19,10 +19,9 @@ use crate::constants::{C, TWO_PI};
 use crate::ion::IonSpecies;
 use crate::machine::{MachineParams, OperatingPoint};
 use crate::relativity;
-use serde::{Deserialize, Serialize};
 
 /// State of the reference particle: its Lorentz factor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReferenceParticle {
     /// Lorentz factor γ_R of the reference particle.
     pub gamma: f64,
@@ -52,7 +51,7 @@ impl ReferenceParticle {
 
 /// State of the asynchronous macro particle, expressed as deviations from
 /// the reference particle (the Δ quantities of Section IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MacroParticle {
     /// Energy deviation Δγ = γ − γ_R.
     pub dgamma: f64,
@@ -83,7 +82,7 @@ impl MacroParticle {
 /// sampled (from ring buffers in the HIL, or from an analytic RF model), so
 /// the identical state machine runs under the CGRA, the turn-level engine and
 /// unit tests.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoParticleMap {
     /// Ring parameters.
     pub machine: MachineParams,
@@ -159,7 +158,7 @@ impl TwoParticleMap {
 /// particles, including the orbit-length change of Eq. (4). Used to validate
 /// the paper's three simplifications (Section IV-A) and as ground truth in
 /// accuracy ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExactMap {
     /// Ring parameters.
     pub machine: MachineParams,

@@ -21,10 +21,9 @@
 //! numerically exact for the resonator model.
 
 use crate::ensemble::Ensemble;
-use serde::{Deserialize, Serialize};
 
 /// A parallel-resonator gap impedance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resonator {
     /// Shunt impedance R_s, ohms.
     pub shunt_ohms: f64,

@@ -5,8 +5,8 @@
 #   scripts/bench.sh --revolutions 50000 --runs 9
 #
 # Produces results/BENCH_loop.json (revolutions/sec for every engine
-# fidelity × execution mode: micro-op plan vs legacy DFG walk, batched
-# step_block vs per-turn) and results/BENCH_reftrack.json (the RefTrack
+# fidelity × execution mode: batched step_block vs per-turn, with and
+# without a sampled observer) and results/BENCH_reftrack.json (the RefTrack
 # kernel backend × ensemble-size matrix plus the closed-loop engine pair).
 # The bounds are separately *enforced* by the release-only loop_guard and
 # reftrack_guard tests.

@@ -1,13 +1,12 @@
-//! Property tests pinning the pre-decoded micro-op plan to its two oracles.
+//! Property tests pinning the pre-decoded micro-op plan to its oracle.
 //!
-//! The CGRA executor's hot path replays a flat [`MicroOpPlan`] lowered at
-//! compile time; the legacy per-node DFG walk and the order-independent
-//! interpreter remain as differential oracles. These properties check the
-//! three agree *bit-exactly* on random kernels — outputs, actuator writes
-//! and loop-carried registers across iterations — and that a mid-iteration
-//! `MissingInput` fault rolls register state back identically on the plan
-//! and the walk, so a supervisor retry resumes on the same trajectory as a
-//! run that never faulted.
+//! The CGRA executor replays a flat [`MicroOpPlan`] lowered at compile
+//! time; the order-independent interpreter [`interpret_dfg`] is the
+//! differential oracle. These properties check the two agree *bit-exactly*
+//! on random kernels — outputs, actuator writes and loop-carried registers
+//! across iterations — and that a mid-iteration `MissingInput` fault rolls
+//! register state back to the last committed iteration, so a supervisor
+//! retry resumes on the same trajectory as a run that never faulted.
 
 use cavity_in_the_loop::cgra::exec::{interpret_dfg, CgraExecutor, ExecError, MapBus};
 use cavity_in_the_loop::cgra::frontend::compile;
@@ -81,11 +80,11 @@ fn input_bearing_dfg(ops: &[u8]) -> Dfg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Plan replay, legacy node walk and direct interpretation agree
-    /// bit-exactly on outputs, actuator writes and loop-carried registers,
-    /// over several iterations of random kernels on random grids.
+    /// Plan replay and direct interpretation agree bit-exactly on outputs,
+    /// actuator writes and loop-carried registers, over several iterations
+    /// of random kernels on random grids.
     #[test]
-    fn plan_walk_and_interpreter_agree(
+    fn plan_and_interpreter_agree(
         ops in prop::collection::vec(any::<u8>(), 1..24),
         rows in 2u16..5,
         cols in 2u16..5,
@@ -99,44 +98,34 @@ proptest! {
         let schedule = ListScheduler::new(grid).schedule(&kernel.dfg);
         schedule.validate(&kernel.dfg).expect("schedule valid");
 
-        let mut planned = CgraExecutor::new(kernel.dfg.clone(), schedule.clone());
-        let mut walker = CgraExecutor::new(kernel.dfg.clone(), schedule);
+        let mut planned = CgraExecutor::new(kernel.dfg.clone(), schedule);
         let mut regs = vec![0.0f64; kernel.dfg.reg_count() as usize];
         for &(r, v) in &kernel.reg_inits {
             planned.set_reg(r, v);
-            walker.set_reg(r, v);
             regs[r as usize] = v;
         }
         let mut out_planned: Vec<(u16, f64)> = Vec::new();
         for &sv in &sensor_vals {
             let mut bus_p = MapBus::default();
-            let mut bus_w = MapBus::default();
             let mut bus_i = MapBus::default();
             bus_p.set_sensor(0, sv);
-            bus_w.set_sensor(0, sv);
             bus_i.set_sensor(0, sv);
             planned
                 .try_run_iteration_into(&mut bus_p, &[], &mut out_planned)
                 .expect("plan replay succeeds");
-            let out_walk = walker
-                .try_run_iteration_nodewalk(&mut bus_w, &[])
-                .expect("node walk succeeds");
             let out_interp = interpret_dfg(&kernel.dfg, &mut regs, &mut bus_i, &[]);
             // Exact equality: same operations in dependency order, no
             // reassociation anywhere.
-            prop_assert_eq!(&out_planned, &out_walk);
             prop_assert_eq!(&out_planned, &out_interp);
-            prop_assert_eq!(&bus_p.writes, &bus_w.writes);
             prop_assert_eq!(&bus_p.writes, &bus_i.writes);
             for r in 0..kernel.dfg.reg_count() {
-                prop_assert_eq!(planned.reg(r), walker.reg(r));
                 prop_assert_eq!(planned.reg(r), regs[r as usize]);
             }
         }
     }
 
     /// A `MissingInput` fault mid-iteration rolls loop-carried registers
-    /// back identically on the plan and the walk: the faulted iteration is
+    /// back to the last committed iteration: the faulted iteration is
     /// invisible, and the retried run stays bit-identical to an oracle
     /// that never faulted.
     #[test]
@@ -149,34 +138,27 @@ proptest! {
         let schedule = ListScheduler::new(GridConfig::mesh(4, 4)).schedule(&g);
         schedule.validate(&g).expect("schedule valid");
 
-        let mut planned = CgraExecutor::new(g.clone(), schedule.clone());
-        let mut walker = CgraExecutor::new(g.clone(), schedule);
+        let mut planned = CgraExecutor::new(g.clone(), schedule);
         let mut regs = vec![0.0f64; g.reg_count() as usize];
         let mut out_planned: Vec<(u16, f64)> = Vec::new();
 
-        // Healthy prefix: all three advance in lockstep.
+        // Healthy prefix: plan and interpreter advance in lockstep.
         for _ in 0..good_iters {
             planned
                 .try_run_iteration_into(&mut MapBus::default(), &[live_in], &mut out_planned)
                 .expect("inputs present");
-            walker
-                .try_run_iteration_nodewalk(&mut MapBus::default(), &[live_in])
-                .expect("inputs present");
             interpret_dfg(&g, &mut regs, &mut MapBus::default(), &[live_in]);
         }
 
-        // Fault: input withheld. Both fallible paths report the port and
-        // leave registers exactly as the last good iteration committed
-        // them; the plan path also leaves the scratch buffer empty.
+        // Fault: input withheld. The plan reports the port, leaves
+        // registers exactly as the last good iteration committed them and
+        // leaves the scratch buffer empty.
         let before: Vec<f64> = (0..g.reg_count()).map(|r| planned.reg(r)).collect();
         let err_p = planned.try_run_iteration_into(&mut MapBus::default(), &[], &mut out_planned);
-        let err_w = walker.try_run_iteration_nodewalk(&mut MapBus::default(), &[]);
         prop_assert_eq!(err_p, Err(ExecError::MissingInput(0)));
-        prop_assert_eq!(err_w.unwrap_err(), ExecError::MissingInput(0));
         prop_assert!(out_planned.is_empty(), "failed iteration emits no outputs");
         for r in 0..g.reg_count() {
             prop_assert_eq!(planned.reg(r), before[r as usize]);
-            prop_assert_eq!(walker.reg(r), before[r as usize]);
         }
 
         // Retry with the input restored: bit-identical to the never-faulted
@@ -184,15 +166,10 @@ proptest! {
         planned
             .try_run_iteration_into(&mut MapBus::default(), &[live_in], &mut out_planned)
             .expect("retry succeeds");
-        let out_walk = walker
-            .try_run_iteration_nodewalk(&mut MapBus::default(), &[live_in])
-            .expect("retry succeeds");
         let out_interp = interpret_dfg(&g, &mut regs, &mut MapBus::default(), &[live_in]);
-        prop_assert_eq!(&out_planned, &out_walk);
         prop_assert_eq!(&out_planned, &out_interp);
         for r in 0..g.reg_count() {
             prop_assert_eq!(planned.reg(r), regs[r as usize]);
-            prop_assert_eq!(walker.reg(r), regs[r as usize]);
         }
     }
 }
