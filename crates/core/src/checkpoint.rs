@@ -1154,20 +1154,20 @@ impl CheckpointSession {
         (floor / self.every_turns + 1) * self.every_turns - rows
     }
 
-    /// Append the trace delta and write a rolling snapshot. `make` builds
-    /// the state snapshot; the session fills in the log-cut counters.
-    /// Errors are latched into `self.error` (checkpointing stops; the loop
-    /// itself continues and the error surfaces after the run).
-    pub(crate) fn checkpoint(&mut self, trace: &LoopTrace, make: impl FnOnce() -> Checkpoint) {
+    /// Append the trace delta and write `ck` as a rolling snapshot; the
+    /// session fills in the log cut and the trace's bunch count. Errors are
+    /// latched into `self.error` (checkpointing stops; the loop itself
+    /// continues and the error surfaces after the run).
+    pub(crate) fn checkpoint(&mut self, trace: &LoopTrace, ck: Checkpoint) {
         if self.error.is_some() {
             return;
         }
-        if let Err(e) = self.checkpoint_inner(trace, make) {
+        if let Err(e) = self.checkpoint_inner(trace, ck) {
             self.error = Some(e);
         }
     }
 
-    fn checkpoint_inner(&mut self, trace: &LoopTrace, make: impl FnOnce() -> Checkpoint) -> R<()> {
+    fn checkpoint_inner(&mut self, trace: &LoopTrace, mut ck: Checkpoint) -> R<()> {
         let block = encode_trace_block(
             trace,
             self.rows_flushed,
@@ -1183,7 +1183,7 @@ impl CheckpointSession {
         self.events_flushed = trace.events.len();
         self.jumps_flushed = trace.jump_times.len();
 
-        let mut ck = make();
+        ck.bunches = trace.bunch_phase_deg.len() as u32;
         ck.turn = self.rows_flushed as u64;
         ck.rows = self.rows_flushed as u64;
         ck.events = self.events_flushed as u64;

@@ -20,11 +20,12 @@
 //! observer hook or an active fault program (fault windows and jump edges
 //! are time-keyed and therefore *detected* per step, not queued).
 //!
-//! The harness also hosts the fault layer: a [`FaultInjector`] corrupts
-//! measured rows per the scenario's schedule, and
-//! [`LoopHarness::run_supervised`] wraps the loop in a [`LoopSupervisor`] —
-//! deadline watchdog, outlier gate, actuation clamp and graceful engine
-//! degradation through [`EngineKind::demote`].
+//! [`LoopHarness::run`] borrows a caller-built engine; every run whose
+//! engine the harness owns goes through [`LoopHarness::run_spec`]: fresh or
+//! resumed from a checkpoint, under a [`LoopSupervisor`] or not (deadline
+//! watchdog, outlier gate, actuation clamp, demotion through
+//! [`EngineKind::demote`]). A [`FaultInjector`] corrupts measured rows per
+//! the scenario's fault schedule.
 //!
 //! Telemetry is opt-in via [`LoopHarness::with_telemetry`]: the harness
 //! resolves all metric handles up front ([`LoopMetrics`]), records
@@ -166,6 +167,100 @@ impl RunCursor {
         Self {
             trace: LoopTrace::empty(bunches),
             last_jump: 0.0,
+        }
+    }
+}
+
+/// A harness-owned run's state besides engine and supervisor: the fidelity
+/// running now, the control-phase mirror a demoted engine is seeded with,
+/// and the cursor. A [`crate::session`] body keeps one across slices.
+pub(crate) struct RunState {
+    pub(crate) kind: EngineKind,
+    pub(crate) ctrl_phase_rad: f64,
+    pub(crate) cursor: RunCursor,
+}
+
+impl RunState {
+    /// Row zero of a run on a fresh build of `kind`.
+    pub(crate) fn fresh(kind: EngineKind, bunches: usize) -> Self {
+        Self {
+            kind,
+            ctrl_phase_rad: 0.0,
+            cursor: RunCursor::fresh(bunches),
+        }
+    }
+}
+
+/// Where one call into the dispatch loop stops: at the scheduled end, or
+/// for a time slice once the trace holds `limit_rows` rows.
+#[derive(Clone, Copy)]
+pub(crate) struct Until {
+    pub(crate) duration_s: f64,
+    pub(crate) limit_rows: Option<u64>,
+}
+
+impl Until {
+    /// Run to the scheduled end (or beam loss).
+    fn end(duration_s: f64) -> Self {
+        Self {
+            duration_s,
+            limit_rows: None,
+        }
+    }
+}
+
+/// How a harness-owned run starts.
+pub enum RunStart {
+    /// Row zero on a freshly built engine, possibly retuned (every worker
+    /// configuration replays bit-identically). `kind` must describe it:
+    /// demotion and resume rebuild from it.
+    Fresh {
+        /// The engine.
+        engine: Box<dyn BeamEngine>,
+        /// Its fidelity.
+        kind: EngineKind,
+    },
+    /// The newest good snapshot in the checkpoint directory, at the
+    /// fidelity it recorded.
+    Resume,
+}
+
+/// One run whose engine the harness owns ([`LoopHarness::run_spec`]).
+pub struct RunSpec<'a> {
+    /// Scheduled end time, seconds of engine time.
+    pub duration_s: f64,
+    /// Fresh or resumed.
+    pub start: RunStart,
+    /// Supervision; a resume must match the snapshot's, or the run fails
+    /// with [`CheckpointError::Incompatible`].
+    pub supervisor: Option<&'a mut LoopSupervisor>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// An unsupervised run from row zero on a new build of `kind`.
+    pub fn fresh(scenario: &MdeScenario, kind: EngineKind, duration_s: f64) -> Result<Self> {
+        let engine = kind.build(scenario)?;
+        Ok(Self {
+            duration_s,
+            start: RunStart::Fresh { engine, kind },
+            supervisor: None,
+        })
+    }
+
+    /// An unsupervised resume from the newest good snapshot.
+    pub fn resume(duration_s: f64) -> Self {
+        Self {
+            duration_s,
+            start: RunStart::Resume,
+            supervisor: None,
+        }
+    }
+
+    /// Run under `supervisor` (builder style).
+    pub fn supervised(self, supervisor: &'a mut LoopSupervisor) -> Self {
+        Self {
+            supervisor: Some(supervisor),
+            ..self
         }
     }
 }
@@ -343,12 +438,11 @@ impl LoopHarness {
     }
 
     /// Checkpoint periodically into `config.dir` (builder style). Only
-    /// [`Self::run_checkpointed`], [`Self::run_supervised`] and the
-    /// `resume_*` entry points honour this — plain [`Self::run`] takes an
-    /// already-built engine whose [`EngineKind`] it cannot know, so it
-    /// could not rebuild the engine on resume and therefore never
-    /// checkpoints. The configuration is validated (non-zero cadence and
-    /// retention) by those entry points.
+    /// harness-owned runs ([`Self::run_spec`] and [`Self::run_supervised`])
+    /// honour this — plain [`Self::run`] borrows an engine whose
+    /// [`EngineKind`] it cannot know, so it could not rebuild the engine on
+    /// resume and therefore never checkpoints. [`Self::run_spec`] validates
+    /// the configuration (non-zero cadence and retention).
     pub fn with_checkpointing(mut self, config: CheckpointConfig) -> Self {
         self.checkpoint = Some(config);
         self
@@ -356,11 +450,16 @@ impl LoopHarness {
 
     /// Run the loop until the engine's time reaches `duration_s`.
     pub fn run<E: BeamEngine + ?Sized>(&mut self, engine: &mut E, duration_s: f64) -> LoopTrace {
-        let cursor = RunCursor::fresh(engine.bunches());
-        let mut slot = BorrowedEngine(engine);
-        self.run_dispatch(&mut slot, duration_s, None, cursor, None, None, None)
-            .expect("unsupervised run never rebuilds the engine")
-            .trace
+        self.run_dispatch(
+            RunCursor::fresh(engine.bunches()),
+            &mut BorrowedEngine(engine),
+            Until::end(duration_s),
+            None,
+            None,
+            None,
+        )
+        .expect("unsupervised run never rebuilds the engine")
+        .trace
     }
 
     /// Like [`Self::run`], calling `observer` after every recorded row —
@@ -399,22 +498,27 @@ impl LoopHarness {
                 "observer cadence (every_rows) must be >= 1 row".into(),
             ));
         }
-        let cursor = RunCursor::fresh(engine.bunches());
-        let mut slot = BorrowedEngine(engine);
         let hook = ObserverHook {
             hook: &mut observer,
             every_rows,
         };
-        self.run_dispatch(&mut slot, duration_s, Some(hook), cursor, None, None, None)
-            .map(|c| c.trace)
+        self.run_dispatch(
+            RunCursor::fresh(engine.bunches()),
+            &mut BorrowedEngine(engine),
+            Until::end(duration_s),
+            Some(hook),
+            None,
+            None,
+        )
+        .map(|c| c.trace)
     }
 
     /// The single loop body every entry point funnels into. Steps the
     /// engine in blocks whose budget is the event queue's horizon, records
     /// rows, and dispatches due [`SimEvent`]s between blocks in the queue's
     /// fixed total order. Continuable: starts from an existing trace prefix
-    /// (the resume path), checkpoints through `ckpt` when one is attached,
-    /// and supervises through `sup` when attached.
+    /// `start` (the resume path), checkpoints through `ckpt` when one is
+    /// attached, and supervises through `sup` when attached.
     ///
     /// Fault windows and jump-program toggles are keyed to *engine time*
     /// (non-uniform for ramp and signal-level engines), so their edges are
@@ -425,20 +529,18 @@ impl LoopHarness {
     /// measured row — those positions are precisely the block boundaries of
     /// the old budget-1 stepping under an active fault program.
     ///
-    /// `limit_rows` is the cooperative time-slice budget: an *absolute* cap
-    /// on the trace's row count at which the loop returns early (engine and
-    /// peripheral state left live, telemetry not yet folded). A slice
-    /// boundary is just an extra block boundary, so the recorded trace,
-    /// events and checkpoint bytes are bit-identical whether or not a run
-    /// was sliced.
-    #[allow(clippy::too_many_arguments)]
+    /// `until.limit_rows` is the cooperative time-slice budget: an
+    /// *absolute* cap on the trace's row count at which the loop returns
+    /// early (engine and peripheral state left live, telemetry not yet
+    /// folded). A slice boundary is just an extra block boundary, so the
+    /// recorded trace, events and checkpoint bytes are bit-identical
+    /// whether or not a run was sliced.
     fn run_dispatch<S: EngineSlot>(
         &mut self,
-        slot: &mut S,
-        duration_s: f64,
-        mut observer: Option<ObserverHook<'_, S::E>>,
         start: RunCursor,
-        limit_rows: Option<u64>,
+        slot: &mut S,
+        until: Until,
+        mut observer: Option<ObserverHook<'_, S::E>>,
         mut ckpt: Option<CkptRun<'_>>,
         mut sup: Option<SupCtx<'_>>,
     ) -> Result<RunCursor> {
@@ -446,6 +548,10 @@ impl LoopHarness {
             mut trace,
             mut last_jump,
         } = start;
+        let Until {
+            duration_s,
+            limit_rows,
+        } = until;
         let bunches = slot.engine().bunches();
         let mut wall = self.telemetry.as_ref().map(WallSampler::new);
         let mut block = StepBlock::new();
@@ -794,28 +900,15 @@ impl LoopHarness {
                             .as_mut()
                             .expect("checkpoint event armed without a session");
                         let t0 = Instant::now();
-                        let ck = Checkpoint {
-                            turn: 0,
-                            time_s: slot.engine().time(),
-                            supervised: sup.is_some(),
-                            kind: sup.as_ref().map_or(c.kind, |s| *s.kind),
-                            bunches: bunches as u32,
-                            engine: slot.engine().save_state(),
-                            controller: self.controller.state(),
-                            injector: self.faults.state(),
-                            supervisor: sup.as_ref().map(|s| s.supervisor.state()),
-                            ctrl_phase_rad: sup.as_ref().map_or(0.0, |s| *s.ctrl_phase_rad),
-                            last_jump_deg: last_jump,
-                            rows: 0,
-                            events: 0,
-                            jumps: 0,
-                            log_bytes: 0,
-                            telemetry: self
-                                .telemetry
-                                .as_ref()
-                                .map(LoopMetrics::checkpoint_snapshot),
-                        };
-                        c.session.checkpoint(&trace, move || ck);
+                        let ck = self.snapshot(
+                            slot.engine().time(),
+                            slot.engine().save_state(),
+                            sup.as_ref().map_or(c.kind, |s| *s.kind),
+                            sup.as_ref().map_or(0.0, |s| *s.ctrl_phase_rad),
+                            last_jump,
+                            sup.as_ref().map(|s| &*s.supervisor),
+                        );
+                        c.session.checkpoint(&trace, ck);
                         if let Some(m) = &self.telemetry {
                             m.checkpoint_writes.inc();
                             m.checkpoint_write_wall.observe(t0.elapsed().as_secs_f64());
@@ -852,334 +945,73 @@ impl LoopHarness {
         Ok(RunCursor { trace, last_jump })
     }
 
-    /// One cooperative time slice of a *supervised* closed loop: continue
-    /// from `cursor` until the trace reaches `limit_rows` rows, the engine
-    /// reaches `duration_s`, or the beam is lost — whichever comes first.
+    /// Run the loop on an engine the harness owns, as `spec` says.
+    /// Checkpointing is on exactly when [`Self::with_checkpointing`] was
+    /// set. A [`LoopSupervisor`] adds a per-revolution deadline budget,
+    /// outlier rejection with hold-last-good, actuation clamping, and a
+    /// watchdog that demotes the engine through [`EngineKind::demote`]
+    /// instead of aborting; a snapshot records the fidelity running now.
     ///
-    /// The caller owns every piece of loop state (leased engine, fidelity,
-    /// supervisor, control-phase mirror, cursor), so a fleet executor can
-    /// persist it between slices, migrate it across worker threads, or
-    /// evict it to checkpoint bytes. A slice boundary is just an extra
-    /// block boundary, so the trace, audit events and deterministic
-    /// telemetry are bit-identical to an unsliced [`Self::run_supervised`].
-    /// A watchdog demotion rebuilds the engine *in the caller's box* and
-    /// updates `kind` — the caller must then treat the lease as a fresh
-    /// build (an arena may not re-admit it under the old key).
-    ///
-    /// No startup calibration is measured here (a thousand-session fleet
-    /// must not pay a scratch engine per session); the supervisor's
-    /// hard-coded per-fidelity step model is in force unless the caller
-    /// seeded a calibration itself. Telemetry (when attached) folds only on
-    /// the slice that completes the run.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_supervised_slice(
-        &mut self,
-        engine: &mut Box<dyn BeamEngine>,
-        scenario: &MdeScenario,
-        kind: &mut EngineKind,
-        ctrl_phase_rad: &mut f64,
-        supervisor: &mut LoopSupervisor,
-        duration_s: f64,
-        limit_rows: u64,
-        cursor: RunCursor,
-    ) -> Result<RunCursor> {
-        let t_rev = 1.0 / scenario.f_rev;
-        let mut slot = LeasedEngine(engine);
-        let sup = SupCtx {
-            supervisor,
-            scenario,
-            kind,
-            ctrl_phase_rad,
-            t_rev,
-        };
-        self.run_dispatch(
-            &mut slot,
+    /// A resume restores everything the snapshot holds (the supervisor's
+    /// calibration included), so the trace is bit-identical to an
+    /// uninterrupted run's, plus one [`LoopEvent::CheckpointRejected`] per
+    /// corrupted newer snapshot. A resume without a checkpoint
+    /// configuration is [`crate::error::CilError::InvalidConfig`]; a
+    /// checkpoint write failure stops checkpointing and is returned after
+    /// the complete run ("succeeded but not resumable").
+    pub fn run_spec(&mut self, scenario: &MdeScenario, spec: RunSpec<'_>) -> Result<LoopTrace> {
+        let RunSpec {
             duration_s,
-            None,
-            cursor,
-            Some(limit_rows),
-            None,
-            Some(sup),
-        )
-    }
-
-    /// Resolved metric handles, when telemetry is attached — the session
-    /// executor snapshots mid-run deterministic telemetry into eviction
-    /// bytes through this.
-    pub(crate) fn metrics(&self) -> Option<&LoopMetrics> {
-        self.telemetry.as_ref()
-    }
-
-    /// Run an unsupervised closed loop with periodic checkpointing (the
-    /// configuration from [`Self::with_checkpointing`]). Takes the
-    /// [`EngineKind`] rather than a built engine so [`Self::resume_from`]
-    /// can rebuild the same fidelity later. Without a checkpoint
-    /// configuration this is just [`Self::run`] on a freshly built engine.
-    ///
-    /// Checkpoint write failures do not abort the loop — checkpointing is
-    /// disabled for the rest of the run and the first failure is returned
-    /// as an error after the (complete) run, with the trace lost to the
-    /// caller; treat that as "the run succeeded but is not resumable".
-    pub fn run_checkpointed(
-        &mut self,
-        scenario: &MdeScenario,
-        kind: EngineKind,
-        duration_s: f64,
-    ) -> Result<LoopTrace> {
-        let mut engine = kind.build(scenario)?;
-        self.run_checkpointed_with(engine.as_mut(), kind, duration_s)
-    }
-
-    /// [`Self::run_checkpointed`] over a caller-built engine — for callers
-    /// that retune an engine before the run (e.g. a [`RefTrackEngine`] with
-    /// a non-default worker configuration driving the intra-step parallel
-    /// path). `kind` must describe the engine so a later [`Self::resume_from`]
-    /// rebuilds a compatible one; the engine fidelities guarantee any
-    /// worker configuration replays to bit-identical traces.
-    pub fn run_checkpointed_with(
-        &mut self,
-        engine: &mut dyn BeamEngine,
-        kind: EngineKind,
-        duration_s: f64,
-    ) -> Result<LoopTrace> {
-        let Some(cfg) = self.checkpoint.clone() else {
-            return Ok(self.run(engine, duration_s));
-        };
-        cfg.validate()?;
-        let mut session = CheckpointSession::begin(&cfg).map_err(crate::error::CilError::from)?;
-        let cursor = RunCursor::fresh(engine.bunches());
-        let mut slot = BorrowedEngine(engine);
-        let cursor = self.run_dispatch(
-            &mut slot,
-            duration_s,
-            None,
-            cursor,
-            None,
-            Some(CkptRun {
-                session: &mut session,
-                kind,
-            }),
-            None,
-        )?;
-        session.into_result()?;
-        Ok(cursor.trace)
-    }
-
-    /// Resume an unsupervised run from the newest good checkpoint in the
-    /// configured directory and carry it to `duration_s`.
-    ///
-    /// Corrupted or truncated snapshots newer than the chosen one are each
-    /// audited as a [`LoopEvent::CheckpointRejected`] (stamped with the
-    /// fallback snapshot's turn/time) in the returned trace. The resumed
-    /// trace's rows, events and jump times are bit-identical to an
-    /// uninterrupted run's.
-    pub fn resume_from(&mut self, scenario: &MdeScenario, duration_s: f64) -> Result<LoopTrace> {
-        let cfg = self.checkpoint.clone().ok_or_else(|| {
-            crate::error::CilError::InvalidConfig("resume_from requires with_checkpointing".into())
-        })?;
-        cfg.validate()?;
-        let resumed = CheckpointSession::resume(&cfg, EngineKind::BUILT_BUNCHES)
-            .map_err(crate::error::CilError::from)?;
-        let ck = &resumed.checkpoint;
-        if ck.supervised {
-            return Err(CheckpointError::Incompatible(
-                "checkpoint was written by a supervised run; use resume_supervised_from",
-            )
-            .into());
+            start,
+            mut supervisor,
+        } = spec;
+        let cfg = self.checkpoint.clone();
+        if let Some(cfg) = &cfg {
+            cfg.validate()?;
         }
-        let mut engine = ck.kind.build(scenario)?;
-        let trace = self.restore_common(engine.as_mut(), ck, resumed.trace, resumed.rejected)?;
-        let last_jump = ck.last_jump_deg;
-        let kind = ck.kind;
-        let mut session = resumed.session;
-        let mut slot = BorrowedEngine(engine.as_mut());
-        let cursor = self.run_dispatch(
-            &mut slot,
-            duration_s,
-            None,
-            RunCursor { trace, last_jump },
-            None,
-            Some(CkptRun {
-                session: &mut session,
-                kind,
-            }),
-            None,
-        )?;
-        session.into_result()?;
-        Ok(cursor.trace)
-    }
-
-    /// Shared resume plumbing: apply the snapshot to the engine,
-    /// controller, fault injector and telemetry, and return the recovered
-    /// trace prefix with one [`LoopEvent::CheckpointRejected`] appended per
-    /// snapshot that had to be discarded during recovery.
-    fn restore_common<E: BeamEngine + ?Sized>(
-        &mut self,
-        engine: &mut E,
-        ck: &Checkpoint,
-        mut trace: LoopTrace,
-        rejected: usize,
-    ) -> Result<LoopTrace> {
-        if ck.bunches as usize != engine.bunches() {
-            return Err(
-                CheckpointError::Incompatible("bunch count differs from the scenario").into(),
-            );
-        }
-        if !engine.restore_state(&ck.engine) {
-            return Err(
-                CheckpointError::Incompatible("engine state does not fit the scenario").into(),
-            );
-        }
-        if !self.controller.restore(&ck.controller) {
-            return Err(CheckpointError::Incompatible(
-                "controller state does not fit the scenario",
-            )
-            .into());
-        }
-        if !self.faults.restore(&ck.injector) {
-            return Err(CheckpointError::Incompatible(
-                "fault-injector state does not fit the scenario's fault program",
-            )
-            .into());
-        }
-        if let (Some(m), Some(t)) = (&self.telemetry, &ck.telemetry) {
-            if !m.restore_checkpoint(t) {
-                return Err(
-                    CheckpointError::Incompatible("telemetry histogram shape changed").into(),
-                );
+        let (mut engine, mut state, mut session) = match start {
+            RunStart::Fresh { engine, kind } => {
+                let session = cfg.as_ref().map(CheckpointSession::begin).transpose()?;
+                // Startup calibration on a scratch engine, so the run stays
+                // bit-identical whether or not it happened; the figure
+                // replaces the nominal only under `use_measured_step`.
+                if let Some(sup) = supervisor.as_deref_mut() {
+                    if sup.calibration().is_none_or(|cal| cal.kind != kind) {
+                        sup.set_calibration(measure_step_seconds(scenario, kind)?);
+                    }
+                }
+                let state = RunState::fresh(kind, engine.bunches());
+                (engine, state, session)
             }
-        }
-        for _ in 0..rejected {
-            trace.events.push(LoopEvent::CheckpointRejected {
-                turn: ck.turn as usize,
-                time_s: ck.time_s,
-            });
-        }
-        Ok(trace)
-    }
-
-    /// Run the loop under a [`LoopSupervisor`]: a per-revolution deadline
-    /// budget (wall-clock modelled per fidelity, stretched by scheduled
-    /// overrun faults), outlier rejection with hold-last-good, actuation
-    /// clamping with anti-windup, and a watchdog that demotes the engine
-    /// fidelity through [`EngineKind::demote`] instead of aborting — the
-    /// loop stays closed across the swap, carrying the accumulated control
-    /// phase into the fresh engine via [`BeamEngine::seed_state`].
-    ///
-    /// Owns engine construction (it may rebuild mid-run), so it takes the
-    /// [`EngineKind`] rather than a built engine.
-    ///
-    /// When checkpointing is configured ([`Self::with_checkpointing`]) the
-    /// supervised loop checkpoints inline at the configured cadence —
-    /// including across demotions (the snapshot records the fidelity
-    /// *currently running*). A checkpoint write failure disables further
-    /// checkpointing and surfaces as an error after the complete run.
-    pub fn run_supervised(
-        &mut self,
-        scenario: &MdeScenario,
-        kind: EngineKind,
-        duration_s: f64,
-        supervisor: &mut LoopSupervisor,
-    ) -> Result<LoopTrace> {
-        let mut session = match self.checkpoint.clone() {
-            Some(cfg) => {
-                cfg.validate()?;
-                Some(CheckpointSession::begin(&cfg).map_err(crate::error::CilError::from)?)
+            RunStart::Resume => {
+                let cfg = cfg.ok_or_else(|| {
+                    crate::error::CilError::InvalidConfig(
+                        "a resumed run requires with_checkpointing".into(),
+                    )
+                })?;
+                let resumed = CheckpointSession::resume(&cfg, EngineKind::BUILT_BUNCHES)?;
+                let ck = resumed.checkpoint;
+                let mut engine = ck.kind.build(scenario)?;
+                let mut state = self.restore(
+                    &ck,
+                    resumed.trace,
+                    Some(engine.as_mut()),
+                    supervisor.as_deref_mut(),
+                    true,
+                )?;
+                let rejected = LoopEvent::CheckpointRejected {
+                    turn: ck.turn as usize,
+                    time_s: ck.time_s,
+                };
+                let events = &mut state.cursor.trace.events;
+                events.extend(std::iter::repeat_n(rejected, resumed.rejected));
+                (engine, state, Some(resumed.session))
             }
-            None => None,
         };
-        let trace = self.run_supervised_core(
-            scenario,
-            kind,
-            duration_s,
-            supervisor,
-            session.as_mut(),
-            None,
-        )?;
-        if let Some(s) = session {
-            s.into_result()?;
-        }
-        Ok(trace)
-    }
-
-    /// Resume a supervised run from the newest good checkpoint and carry
-    /// it to `duration_s`. The supervisor is restored from the snapshot
-    /// (including its warmup calibration, so no re-calibration happens —
-    /// the resumed run stays bit-identical to an uninterrupted one).
-    pub fn resume_supervised_from(
-        &mut self,
-        scenario: &MdeScenario,
-        duration_s: f64,
-        supervisor: &mut LoopSupervisor,
-    ) -> Result<LoopTrace> {
-        let cfg = self.checkpoint.clone().ok_or_else(|| {
-            crate::error::CilError::InvalidConfig(
-                "resume_supervised_from requires with_checkpointing".into(),
-            )
-        })?;
-        cfg.validate()?;
-        let resumed = CheckpointSession::resume(&cfg, EngineKind::BUILT_BUNCHES)
-            .map_err(crate::error::CilError::from)?;
-        let ck = resumed.checkpoint;
-        if !ck.supervised {
-            return Err(CheckpointError::Incompatible(
-                "checkpoint was written by an unsupervised run; use resume_from",
-            )
-            .into());
-        }
-        let Some(sup_state) = &ck.supervisor else {
-            return Err(
-                CheckpointError::Malformed("supervised checkpoint lacks supervisor state").into(),
-            );
-        };
-        supervisor.restore(sup_state);
-        // The trace prefix and peripheral state are restored against a
-        // scratch engine build; run_supervised_core owns the real engine
-        // (it may rebuild it mid-run) and re-applies the engine state
-        // itself.
-        let mut engine = ck.kind.build(scenario)?;
-        let trace = self.restore_common(engine.as_mut(), &ck, resumed.trace, resumed.rejected)?;
-        drop(engine);
-        let mut session = resumed.session;
-        let init = SupervisedResume {
-            trace,
-            last_jump: ck.last_jump_deg,
-            ctrl_phase_rad: ck.ctrl_phase_rad,
-            engine_state: ck.engine.clone(),
-        };
-        let trace = self.run_supervised_core(
-            scenario,
-            ck.kind,
-            duration_s,
-            supervisor,
-            Some(&mut session),
-            Some(init),
-        )?;
-        session.into_result()?;
-        Ok(trace)
-    }
-
-    fn run_supervised_core(
-        &mut self,
-        scenario: &MdeScenario,
-        kind: EngineKind,
-        duration_s: f64,
-        supervisor: &mut LoopSupervisor,
-        session: Option<&mut CheckpointSession>,
-        resume: Option<SupervisedResume>,
-    ) -> Result<LoopTrace> {
-        // Startup calibration: measure the real per-step wall-clock on a
-        // *scratch* engine that is discarded afterwards, so the run itself
-        // stays bit-identical whether or not it happened. The measured
-        // figure replaces the hard-coded nominal only when the policy opts
-        // in (`use_measured_step`); it is always exported. Skipped entirely
-        // on resume: the restored supervisor carries the calibration the
-        // original run measured.
-        if resume.is_none() && supervisor.calibration().is_none_or(|cal| cal.kind != kind) {
-            let cal = measure_step_seconds(scenario, kind)?;
-            supervisor.set_calibration(cal);
-        }
-        if let (Some(m), Some(cal)) = (&self.telemetry, supervisor.calibration()) {
+        if let (Some(m), Some(cal)) = (
+            &self.telemetry,
+            supervisor.as_ref().and_then(|s| s.calibration()),
+        ) {
             m.registry
                 .gauge(&format!(
                     "cil_supervisor_calibrated_step_wall_seconds{{fidelity=\"{}\"}}",
@@ -1187,39 +1019,149 @@ impl LoopHarness {
                 ))
                 .set(cal.step_seconds);
         }
-        let mut engine = kind.build(scenario)?;
-        let bunches = engine.bunches();
-        let (trace, last_jump, mut ctrl_phase_rad) = match resume {
-            Some(init) => {
-                if !engine.restore_state(&init.engine_state) {
-                    return Err(CheckpointError::Incompatible(
-                        "engine state does not fit the scenario",
-                    )
-                    .into());
-                }
-                (init.trace, init.last_jump, init.ctrl_phase_rad)
-            }
-            None => (LoopTrace::empty(bunches), 0.0, 0.0),
-        };
-        let mut live_kind = kind;
-        let sup = SupCtx {
+        self.run_owned(
+            scenario,
+            &mut engine,
+            &mut state,
+            Until::end(duration_s),
+            supervisor,
+            session.as_mut(),
+        )?;
+        if let Some(s) = session {
+            s.into_result()?;
+        }
+        Ok(state.cursor.trace)
+    }
+
+    /// A fresh supervised run on a new build of `kind` — [`Self::run_spec`]
+    /// with a [`LoopSupervisor`] attached.
+    pub fn run_supervised(
+        &mut self,
+        scenario: &MdeScenario,
+        kind: EngineKind,
+        duration_s: f64,
+        supervisor: &mut LoopSupervisor,
+    ) -> Result<LoopTrace> {
+        self.run_spec(
+            scenario,
+            RunSpec::fresh(scenario, kind, duration_s)?.supervised(supervisor),
+        )
+    }
+
+    /// The core behind [`Self::run_spec`] and each [`crate::session`] time
+    /// slice: continue `state` on `engine` until `until`. A demotion
+    /// rebuilds the engine *in the caller's box* and updates `state.kind`
+    /// (an arena must not re-admit the lease under its old key). No startup
+    /// calibration here: a fleet must not pay a scratch engine per session.
+    /// Telemetry folds only on the call that completes the run.
+    pub(crate) fn run_owned(
+        &mut self,
+        scenario: &MdeScenario,
+        engine: &mut Box<dyn BeamEngine>,
+        state: &mut RunState,
+        until: Until,
+        supervisor: Option<&mut LoopSupervisor>,
+        session: Option<&mut CheckpointSession>,
+    ) -> Result<()> {
+        let ckpt = session.map(|session| CkptRun {
+            session,
+            kind: state.kind,
+        });
+        let cursor = std::mem::replace(&mut state.cursor, RunCursor::fresh(0));
+        let sup = supervisor.map(|supervisor| SupCtx {
             supervisor,
             scenario,
-            kind: &mut live_kind,
-            ctrl_phase_rad: &mut ctrl_phase_rad,
+            kind: &mut state.kind,
+            ctrl_phase_rad: &mut state.ctrl_phase_rad,
             t_rev: 1.0 / scenario.f_rev,
-        };
-        let ckpt = session.map(|s| CkptRun { session: s, kind });
-        self.run_dispatch(
-            &mut LeasedEngine(&mut engine),
-            duration_s,
-            None,
-            RunCursor { trace, last_jump },
-            None,
-            ckpt,
-            Some(sup),
-        )
-        .map(|c| c.trace)
+        });
+        state.cursor =
+            self.run_dispatch(cursor, &mut LeasedEngine(engine), until, None, ckpt, sup)?;
+        Ok(())
+    }
+
+    /// The one mapping from loop state to a [`Checkpoint`]; a supervisor
+    /// marks it supervised. The writer fills in the fields of the trace it
+    /// pairs it with: the log cut and `bunches`.
+    pub(crate) fn snapshot(
+        &self,
+        time_s: f64,
+        engine: EngineState,
+        kind: EngineKind,
+        ctrl_phase_rad: f64,
+        last_jump_deg: f64,
+        supervisor: Option<&LoopSupervisor>,
+    ) -> Checkpoint {
+        Checkpoint {
+            turn: 0,
+            time_s,
+            supervised: supervisor.is_some(),
+            kind,
+            bunches: 0,
+            engine,
+            controller: self.controller.state(),
+            injector: self.faults.state(),
+            supervisor: supervisor.map(LoopSupervisor::state),
+            ctrl_phase_rad,
+            last_jump_deg,
+            rows: 0,
+            events: 0,
+            jumps: 0,
+            log_bytes: 0,
+            telemetry: self
+                .telemetry
+                .as_ref()
+                .map(LoopMetrics::checkpoint_snapshot),
+        }
+    }
+
+    /// The one way a [`Checkpoint`] goes back into a harness, with the
+    /// `trace` prefix it pairs with. `engine` is `None` for the session
+    /// executor, which applies engine state to each slice's lease.
+    pub(crate) fn restore(
+        &mut self,
+        ck: &Checkpoint,
+        trace: LoopTrace,
+        engine: Option<&mut dyn BeamEngine>,
+        supervisor: Option<&mut LoopSupervisor>,
+        telemetry: bool,
+    ) -> Result<RunState> {
+        let incompatible = |what| Err(CheckpointError::Incompatible(what).into());
+        if ck.bunches as usize != trace.bunch_phase_deg.len() {
+            return incompatible("bunch count differs from the scenario");
+        }
+        if ck.supervised != supervisor.is_some() {
+            return incompatible("supervised and unsupervised runs cannot resume each other");
+        }
+        if let Some(engine) = engine {
+            if !engine.restore_state(&ck.engine) {
+                return incompatible("engine state does not fit the scenario");
+            }
+        }
+        if !self.controller.restore(&ck.controller) {
+            return incompatible("controller state does not fit the scenario");
+        }
+        if !self.faults.restore(&ck.injector) {
+            return incompatible("fault-injector state does not fit the scenario's fault program");
+        }
+        if let Some(supervisor) = supervisor {
+            let lacking =
+                CheckpointError::Malformed("supervised checkpoint lacks supervisor state");
+            supervisor.restore(ck.supervisor.as_ref().ok_or(lacking)?);
+        }
+        if let (true, Some(m), Some(t)) = (telemetry, &self.telemetry, &ck.telemetry) {
+            if !m.restore_checkpoint(t) {
+                return incompatible("telemetry histogram shape changed");
+            }
+        }
+        Ok(RunState {
+            kind: ck.kind,
+            ctrl_phase_rad: ck.ctrl_phase_rad,
+            cursor: RunCursor {
+                trace,
+                last_jump: ck.last_jump_deg,
+            },
+        })
     }
 }
 
@@ -1227,14 +1169,6 @@ impl LoopHarness {
 struct CkptRun<'a> {
     session: &'a mut CheckpointSession,
     kind: EngineKind,
-}
-
-/// Restored starting point for a resumed supervised run.
-struct SupervisedResume {
-    trace: LoopTrace,
-    last_jump: f64,
-    ctrl_phase_rad: f64,
-    engine_state: EngineState,
 }
 
 /// Measure the median per-step wall-clock of `kind` over three warmup steps
@@ -1398,6 +1332,109 @@ mod tests {
             trace.events.last(),
             Some(LoopEvent::BeamLost { .. })
         ));
+    }
+
+    /// FNV-1a 64 over every file a checkpointed run leaves behind, taken in
+    /// name order with each name hashed ahead of its bytes; the directory
+    /// is removed afterwards.
+    fn dir_digest(dir: &std::path::Path) -> u64 {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for path in files {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            for &b in name.as_bytes().iter().chain(&std::fs::read(&path).unwrap()) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+        h
+    }
+
+    fn pin_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("cil-harness-pin-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The `CILCKPT` snapshots and `trace.log` a harness-owned run writes
+    /// are pinned byte for byte: an unsupervised Map run, a supervised Map
+    /// run through a detector-outlier storm with telemetry attached, and a
+    /// supervised CGRA run demoted to Map by forced overruns. Each
+    /// supervisor is seeded with a fixed calibration, because a measured
+    /// one is wall-clock and lands in the bytes.
+    #[test]
+    fn checkpoint_files_written_by_a_run_are_pinned() {
+        let cfg = |dir: &std::path::Path| {
+            let mut cfg = CheckpointConfig::new(dir);
+            cfg.every_turns = 300;
+            cfg
+        };
+        let calibrated = |s: &MdeScenario, kind| {
+            let mut sup = LoopSupervisor::for_scenario(s);
+            sup.set_calibration(StepCalibration {
+                kind,
+                step_seconds: 2.5e-7,
+            });
+            sup
+        };
+        let mut got = Vec::new();
+
+        let mut s = scenario();
+        s.faults = FaultProgram::detector_outlier_storm(0.005, 0.015, 0.1, 120.0, 0xBAD5EED);
+        let dir = pin_dir("plain");
+        LoopHarness::for_scenario(&s, true)
+            .with_checkpointing(cfg(&dir))
+            .run_spec(
+                &s,
+                RunSpec::fresh(&s, EngineKind::Map, s.duration_s).unwrap(),
+            )
+            .unwrap();
+        got.push(dir_digest(&dir));
+
+        let dir = pin_dir("storm");
+        let mut sup = calibrated(&s, EngineKind::Map);
+        LoopHarness::for_scenario(&s, true)
+            .with_telemetry(&TelemetryRegistry::new())
+            .with_checkpointing(cfg(&dir))
+            .run_supervised(&s, EngineKind::Map, s.duration_s, &mut sup)
+            .unwrap();
+        got.push(dir_digest(&dir));
+
+        let mut s = scenario();
+        s.faults = FaultProgram {
+            seed: 0,
+            events: vec![FaultEvent {
+                start_s: 0.005,
+                end_s: 0.02,
+                kind: FaultKind::DeadlineOverrun { factor: 3.0 },
+            }],
+        };
+        let dir = pin_dir("demotion");
+        let mut sup = calibrated(&s, EngineKind::Cgra);
+        let trace = LoopHarness::for_scenario(&s, true)
+            .with_checkpointing(cfg(&dir))
+            .run_supervised(&s, EngineKind::Cgra, s.duration_s, &mut sup)
+            .unwrap();
+        assert!(trace
+            .events
+            .iter()
+            .any(|e| matches!(e, LoopEvent::EngineDemoted { .. })));
+        got.push(dir_digest(&dir));
+
+        assert_eq!(
+            got,
+            [
+                0x6600_eb01_41ff_e821,
+                0x2924_82dd_977a_f188,
+                0xec59_50e0_fcf3_7483
+            ]
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::control::BeamPhaseController;
 use crate::engine::SignalLevelEngine;
 use crate::error::Result;
 use crate::fault::{LoopEvent, LoopOutcome, LoopSupervisor};
-use crate::harness::LoopHarness;
+use crate::harness::{LoopHarness, LoopTrace};
 use crate::scenario::MdeScenario;
 use crate::telemetry::TelemetryRegistry;
 use crate::trace::TimeSeries;
@@ -90,20 +90,7 @@ impl TurnLevelLoop {
         engine: &mut dyn crate::engine::BeamEngine,
         control_enabled: bool,
     ) -> Result<HilResult> {
-        let s = &self.scenario;
-        let t_rev = 1.0 / s.f_rev;
-        let mut harness = LoopHarness::for_scenario(s, control_enabled);
-        if let Some(reg) = &self.telemetry {
-            harness = harness.with_telemetry(reg);
-        }
-        let trace = harness.run(engine, s.duration_s);
-        Ok(HilResult {
-            phase_deg: TimeSeries::new(0.0, t_rev, trace.mean_phase_deg),
-            control_hz: TimeSeries::new(0.0, t_rev, trace.control_hz),
-            jump_times: trace.jump_times,
-            events: trace.events,
-            outcome: trace.outcome,
-        })
+        self.turn_level(control_enabled, |h, s| Ok(h.run(engine, s.duration_s)))
     }
 
     /// Run the experiment under a [`LoopSupervisor`]: deadline watchdog,
@@ -114,13 +101,25 @@ impl TurnLevelLoop {
         control_enabled: bool,
         supervisor: &mut LoopSupervisor,
     ) -> Result<HilResult> {
+        self.turn_level(control_enabled, |h, s| {
+            h.run_supervised(s, self.engine, s.duration_s, supervisor)
+        })
+    }
+
+    /// Run `run` on this experiment's turn-level harness and reshape its
+    /// trace into a [`HilResult`], one sample per revolution.
+    fn turn_level(
+        &self,
+        control_enabled: bool,
+        run: impl FnOnce(&mut LoopHarness, &MdeScenario) -> Result<LoopTrace>,
+    ) -> Result<HilResult> {
         let s = &self.scenario;
         let t_rev = 1.0 / s.f_rev;
         let mut harness = LoopHarness::for_scenario(s, control_enabled);
         if let Some(reg) = &self.telemetry {
             harness = harness.with_telemetry(reg);
         }
-        let trace = harness.run_supervised(s, self.engine, s.duration_s, supervisor)?;
+        let trace = run(&mut harness, s)?;
         Ok(HilResult {
             phase_deg: TimeSeries::new(0.0, t_rev, trace.mean_phase_deg),
             control_hz: TimeSeries::new(0.0, t_rev, trace.control_hz),

@@ -89,7 +89,7 @@ pub use fault::{
     FaultProgram, LoopEvent, LoopOutcome, LoopSupervisor, LossCause, StepCalibration,
     SupervisorConfig,
 };
-pub use harness::{LoopHarness, LoopTrace};
+pub use harness::{LoopHarness, LoopTrace, RunSpec, RunStart};
 pub use hil::{SignalLevelLoop, TurnLevelLoop};
 pub use multibunch::MultiBunchLoop;
 pub use ramploop::RampLoop;

@@ -11,13 +11,13 @@
 //! already provides:
 //!
 //! * **Cooperative time slices.** Every session is a resumable closed-loop
-//!   job on the event core: [`LoopHarness::run_supervised_slice`] runs at
-//!   most [`MuxConfig::slice_rows`] measured rows per dispatch, then
-//!   returns the live cursor. A slice boundary is just an extra block
-//!   boundary, so the recorded trace, audit events and deterministic
-//!   telemetry are bit-identical to an unsliced
-//!   [`LoopHarness::run_supervised`] — no session can starve the fleet,
-//!   and slicing costs nothing in fidelity.
+//!   job on the event core: the harness core behind
+//!   [`LoopHarness::run_spec`] runs at most [`MuxConfig::slice_rows`]
+//!   measured rows per dispatch, then returns the live run state. A slice
+//!   boundary is just an extra block boundary, so the recorded trace,
+//!   audit events and deterministic telemetry are bit-identical to an
+//!   unsliced [`LoopHarness::run_supervised`] — no session can starve the
+//!   fleet, and slicing costs nothing in fidelity.
 //! * **Work-stealing workers.** The [`SessionMux`] owns one run queue per
 //!   worker (one OS thread each); a worker pops its own queue front and
 //!   steals from other queues' backs when idle. Sessions requeue onto the
@@ -62,7 +62,7 @@ use crate::checkpoint::{
 use crate::engine::{EngineKind, EngineState};
 use crate::error::{CilError, Result};
 use crate::fault::{LoopSupervisor, SupervisorConfig};
-use crate::harness::{LoopHarness, LoopTrace, RunCursor, DEFAULT_BLOCK_ROWS};
+use crate::harness::{LoopHarness, LoopTrace, RunState, Until, DEFAULT_BLOCK_ROWS};
 use crate::scenario::MdeScenario;
 use crate::sweep::{EngineArena, ARENA_SLOTS};
 use crate::telemetry::{Counter, Gauge, Histogram, TelemetryRegistry};
@@ -166,15 +166,13 @@ enum Target {
 }
 
 /// The mutable, `Send` half of a live session: everything
-/// [`LoopHarness::run_supervised_slice`] needs, *except* the engine, which
-/// is leased per slice from the dispatching worker's arena and carried
-/// between slices as plain [`EngineState`] data.
+/// [`LoopHarness::run_owned`] needs, *except* the engine, which is leased
+/// per slice from the dispatching worker's arena and carried between
+/// slices as plain [`EngineState`] data.
 struct SessionBody {
     harness: LoopHarness,
     supervisor: LoopSupervisor,
-    kind: EngineKind,
-    ctrl_phase_rad: f64,
-    cursor: RunCursor,
+    state: RunState,
     /// `None` until the first slice has run (a fresh lease is already
     /// bit-identical to a new build, so there is nothing to restore).
     engine_state: Option<EngineState>,
@@ -440,10 +438,10 @@ impl SessionMux {
     /// from another mux or a previous process. The bytes are validated
     /// eagerly against `spec`; the full restore happens on first dispatch.
     /// The snapshot's mid-run telemetry is re-applied onto `spec`'s (fresh)
-    /// registry, mirroring [`LoopHarness::resume_supervised_from`], so the
+    /// registry, as a resumed [`LoopHarness::run_spec`] does, so the
     /// continued session's exported totals match an uninterrupted run.
     pub fn create_from_snapshot(&self, spec: SessionSpec, bytes: Vec<u8>) -> Result<SessionHandle> {
-        let (ck, _) = split_evicted(&bytes, spec.scenario.bunches)?;
+        let (ck, _) = split_evicted(&bytes, EngineKind::BUILT_BUNCHES)?;
         let rows = ck.turn;
         let time_s = ck.time_s;
         self.insert(spec, Phase::Parked(Work::Bytes(bytes)), rows, time_s, true)
@@ -518,23 +516,14 @@ impl SessionHandle {
     /// Re-arm the target in force before the last [`Self::pause`] and
     /// requeue.
     pub fn resume(&self) -> Result<()> {
-        let shard = self.shared.shard(self.id);
-        let target = {
-            let map = shard.sessions.lock().unwrap();
-            let rec = map
-                .get(&self.id)
-                .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
-            rec.resume_target
-        };
+        let target = self.wait_for(|rec| Some(Ok(rec.resume_target)))?;
         self.arm(target)
     }
 
     fn arm(&self, target: Target) -> Result<()> {
         let shard = self.shared.shard(self.id);
         let mut map = shard.sessions.lock().unwrap();
-        let rec = map
-            .get_mut(&self.id)
-            .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
+        let rec = map.get_mut(&self.id).ok_or_else(|| self.unknown())?;
         match &rec.phase {
             Phase::Finished(_) => return Ok(()), // nothing left to run
             Phase::Failed(msg) => return Err(CilError::Session(msg.clone())),
@@ -563,9 +552,7 @@ impl SessionHandle {
     pub fn pause(&self) -> Result<()> {
         let shard = self.shared.shard(self.id);
         let mut map = shard.sessions.lock().unwrap();
-        let rec = map
-            .get_mut(&self.id)
-            .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
+        let rec = map.get_mut(&self.id).ok_or_else(|| self.unknown())?;
         rec.target = Target::Pause;
         if matches!(rec.phase, Phase::Queued(_)) {
             let Phase::Queued(work) = std::mem::replace(&mut rec.phase, Phase::Running) else {
@@ -587,9 +574,7 @@ impl SessionHandle {
     pub fn kill(&self) -> Result<()> {
         let shard = self.shared.shard(self.id);
         let mut map = shard.sessions.lock().unwrap();
-        let rec = map
-            .get_mut(&self.id)
-            .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
+        let rec = map.get_mut(&self.id).ok_or_else(|| self.unknown())?;
         rec.killed = true;
         if matches!(rec.phase, Phase::Parked(_) | Phase::Queued(_)) {
             rec.phase = Phase::Dead;
@@ -602,28 +587,21 @@ impl SessionHandle {
 
     /// Point-in-time status.
     pub fn status(&self) -> Result<SessionStatus> {
-        let shard = self.shared.shard(self.id);
-        let map = shard.sessions.lock().unwrap();
-        let rec = map
-            .get(&self.id)
-            .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
-        Ok(status_of(rec))
+        self.wait_for(|rec| Some(Ok(status_of(rec))))
     }
 
     /// This session's loop-telemetry registry, when one was attached.
     pub fn registry(&self) -> Result<Option<TelemetryRegistry>> {
-        let shard = self.shared.shard(self.id);
-        let map = shard.sessions.lock().unwrap();
-        let rec = map
-            .get(&self.id)
-            .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
-        Ok(rec.spec.registry.clone())
+        self.wait_for(|rec| Some(Ok(rec.spec.registry.clone())))
     }
 
     /// Block until the session is parked or terminal (i.e. not queued and
     /// not running), and return its status.
     pub fn wait(&self) -> Result<SessionStatus> {
-        self.wait_where(|rec| !matches!(rec.phase, Phase::Queued(_) | Phase::Running))
+        self.wait_for(|rec| {
+            let settled = !matches!(rec.phase, Phase::Queued(_) | Phase::Running);
+            settled.then(|| Ok(status_of(rec)))
+        })
     }
 
     /// Block until the session is terminal and return its trace.
@@ -631,48 +609,12 @@ impl SessionHandle {
     /// [`CilError::Session`]. The trace is cloned, so every clone of the
     /// handle can join.
     pub fn join(&self) -> Result<LoopTrace> {
-        let shard = self.shared.shard(self.id);
-        let mut map = shard.sessions.lock().unwrap();
-        loop {
-            let rec = map
-                .get(&self.id)
-                .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
-            match &rec.phase {
-                Phase::Finished(trace) => return Ok((**trace).clone()),
-                Phase::Failed(msg) => return Err(CilError::Session(msg.clone())),
-                Phase::Dead => return Err(CilError::Session("session was killed".into())),
-                _ => {}
-            }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return Err(CilError::Session("session executor shut down".into()));
-            }
-            let (guard, _timeout) = shard
-                .cv
-                .wait_timeout(map, Duration::from_millis(50))
-                .unwrap();
-            map = guard;
-        }
-    }
-
-    fn wait_where(&self, ready: impl Fn(&SessionRecord) -> bool) -> Result<SessionStatus> {
-        let shard = self.shared.shard(self.id);
-        let mut map = shard.sessions.lock().unwrap();
-        loop {
-            let rec = map
-                .get(&self.id)
-                .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
-            if ready(rec) {
-                return Ok(status_of(rec));
-            }
-            if self.shared.shutdown.load(Ordering::Acquire) {
-                return Err(CilError::Session("session executor shut down".into()));
-            }
-            let (guard, _timeout) = shard
-                .cv
-                .wait_timeout(map, Duration::from_millis(50))
-                .unwrap();
-            map = guard;
-        }
+        self.wait_for(|rec| match &rec.phase {
+            Phase::Finished(trace) => Some(Ok((**trace).clone())),
+            Phase::Failed(msg) => Some(Err(CilError::Session(msg.clone()))),
+            Phase::Dead => Some(Err(CilError::Session("session was killed".into()))),
+            _ => None,
+        })
     }
 
     /// Serialise the session to `CILCKPT` bytes: a framed snapshot of the
@@ -681,37 +623,44 @@ impl SessionHandle {
     /// [`SessionMux::create_from_snapshot`] — on this mux, another, or a
     /// later process. The session itself is left untouched.
     pub fn snapshot(&self) -> Result<Vec<u8>> {
+        self.wait_for(|rec| match &rec.phase {
+            Phase::Parked(work) | Phase::Queued(work) => Some(match work {
+                Work::Bytes(bytes) => Ok(bytes.clone()),
+                Work::Body(body) => serialize_body(&rec.spec, body, rec.rows),
+            }),
+            Phase::Running => None,
+            Phase::Finished(_) => Some(Err(CilError::Session(
+                "session already finished; join it for the trace".into(),
+            ))),
+            Phase::Failed(msg) => Some(Err(CilError::Session(msg.clone()))),
+            Phase::Dead => Some(Err(CilError::Session("session was killed".into()))),
+        })
+    }
+
+    /// Answer from the session's record under its shard lock. While
+    /// `ready` has no answer, block and recheck on every wakeup; a
+    /// shut-down mux ends the wait.
+    fn wait_for<T>(&self, ready: impl Fn(&SessionRecord) -> Option<Result<T>>) -> Result<T> {
         let shard = self.shared.shard(self.id);
         let mut map = shard.sessions.lock().unwrap();
         loop {
-            let rec = map
-                .get_mut(&self.id)
-                .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
-            match &mut rec.phase {
-                Phase::Parked(work) | Phase::Queued(work) => {
-                    return match work {
-                        Work::Bytes(bytes) => Ok(bytes.clone()),
-                        Work::Body(body) => serialize_body(&rec.spec, body, rec.rows),
-                    };
-                }
-                Phase::Running => {}
-                Phase::Finished(_) => {
-                    return Err(CilError::Session(
-                        "session already finished; join it for the trace".into(),
-                    ));
-                }
-                Phase::Failed(msg) => return Err(CilError::Session(msg.clone())),
-                Phase::Dead => return Err(CilError::Session("session was killed".into())),
+            let rec = map.get(&self.id).ok_or_else(|| self.unknown())?;
+            if let Some(answer) = ready(rec) {
+                return answer;
             }
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(CilError::Session("session executor shut down".into()));
             }
-            let (guard, _timeout) = shard
+            map = shard
                 .cv
                 .wait_timeout(map, Duration::from_millis(50))
-                .unwrap();
-            map = guard;
+                .unwrap()
+                .0;
         }
+    }
+
+    fn unknown(&self) -> CilError {
+        CilError::Session(format!("unknown session {}", self.id))
     }
 
     /// Force-evict a *parked* session to checkpoint bytes right now,
@@ -721,9 +670,7 @@ impl SessionHandle {
     pub fn evict(&self) -> Result<bool> {
         let shard = self.shared.shard(self.id);
         let mut map = shard.sessions.lock().unwrap();
-        let rec = map
-            .get_mut(&self.id)
-            .ok_or_else(|| CilError::Session(format!("unknown session {}", self.id)))?;
+        let rec = map.get_mut(&self.id).ok_or_else(|| self.unknown())?;
         Ok(evict_record(rec, &self.shared.fleet))
     }
 }
@@ -785,9 +732,7 @@ fn build_body(spec: &SessionSpec, block_rows: usize) -> Result<SessionBody> {
     Ok(SessionBody {
         harness,
         supervisor: LoopSupervisor::new(spec.supervisor),
-        kind: spec.kind,
-        ctrl_phase_rad: 0.0,
-        cursor: RunCursor::fresh(spec.scenario.bunches),
+        state: RunState::fresh(spec.kind, EngineKind::BUILT_BUNCHES),
         engine_state: None,
         time_s: 0.0,
     })
@@ -796,34 +741,28 @@ fn build_body(spec: &SessionSpec, block_rows: usize) -> Result<SessionBody> {
 /// Serialise a session body to eviction bytes:
 /// `[u64 le snapshot_len][CILCKPT snapshot][framed trace block]`.
 fn serialize_body(spec: &SessionSpec, body: &SessionBody, rows: u64) -> Result<Vec<u8>> {
+    let run = &body.state;
     let engine = match &body.engine_state {
         Some(state) => state.clone(),
         // Snapshot of a session that never ran a slice: a fresh build's
         // state is exactly what a restore should produce.
-        None => body.kind.build(&spec.scenario)?.save_state(),
+        None => run.kind.build(&spec.scenario)?.save_state(),
     };
-    let trace = &body.cursor.trace;
-    let ck = Checkpoint {
-        turn: rows,
-        time_s: body.time_s,
-        supervised: true,
-        kind: body.kind,
-        bunches: spec.scenario.bunches as u32,
+    let mut ck = body.harness.snapshot(
+        body.time_s,
         engine,
-        controller: body.harness.controller.state(),
-        injector: body.harness.faults.state(),
-        supervisor: Some(body.supervisor.state()),
-        ctrl_phase_rad: body.ctrl_phase_rad,
-        last_jump_deg: body.cursor.last_jump,
-        rows,
-        events: trace.events.len() as u64,
-        jumps: trace.jump_times.len() as u64,
-        log_bytes: 0,
-        telemetry: body
-            .harness
-            .metrics()
-            .map(crate::telemetry::LoopMetrics::checkpoint_snapshot),
-    };
+        run.kind,
+        run.ctrl_phase_rad,
+        run.cursor.last_jump,
+        Some(&body.supervisor),
+    );
+    // The cut covers the whole trace, which travels in one block.
+    let trace = &run.cursor.trace;
+    ck.turn = rows;
+    ck.rows = rows;
+    ck.events = trace.events.len() as u64;
+    ck.jumps = trace.jump_times.len() as u64;
+    ck.bunches = trace.bunch_phase_deg.len() as u32;
     let snap = encode_snapshot(&ck);
     let block = encode_trace_block(trace, 0, 0, 0);
     let mut out = Vec::with_capacity(8 + snap.len() + block.len());
@@ -834,8 +773,8 @@ fn serialize_body(spec: &SessionSpec, body: &SessionBody, rows: u64) -> Result<V
 }
 
 /// Split eviction bytes back into their snapshot and trace prefix. The
-/// snapshot's bunch count must equal `bunches` (the scenario's) before the
-/// trace is decoded against it.
+/// snapshot's bunch count must equal `bunches` (the built engines') before
+/// the trace is decoded against it.
 fn split_evicted(bytes: &[u8], bunches: usize) -> Result<(Checkpoint, LoopTrace)> {
     if bytes.len() < 8 {
         return Err(CheckpointError::TooShort.into());
@@ -863,38 +802,15 @@ fn restore_body(
     block_rows: usize,
     restore_telemetry: bool,
 ) -> Result<SessionBody> {
-    let (ck, trace) = split_evicted(bytes, spec.scenario.bunches)?;
+    let (ck, trace) = split_evicted(bytes, EngineKind::BUILT_BUNCHES)?;
     let mut body = build_body(spec, block_rows)?;
-    if !body.harness.controller.restore(&ck.controller) {
-        return Err(
-            CheckpointError::Incompatible("controller state does not fit the scenario").into(),
-        );
-    }
-    if !body.harness.faults.restore(&ck.injector) {
-        return Err(CheckpointError::Incompatible(
-            "fault-injector state does not fit the scenario's fault program",
-        )
-        .into());
-    }
-    let Some(sup_state) = &ck.supervisor else {
-        return Err(CheckpointError::Malformed("session snapshot lacks supervisor state").into());
-    };
-    body.supervisor.restore(sup_state);
-    if restore_telemetry {
-        if let (Some(metrics), Some(t)) = (body.harness.metrics(), &ck.telemetry) {
-            if !metrics.restore_checkpoint(t) {
-                return Err(
-                    CheckpointError::Incompatible("telemetry histogram shape changed").into(),
-                );
-            }
-        }
-    }
-    body.kind = ck.kind;
-    body.ctrl_phase_rad = ck.ctrl_phase_rad;
-    body.cursor = RunCursor {
+    body.state = body.harness.restore(
+        &ck,
         trace,
-        last_jump: ck.last_jump_deg,
-    };
+        None,
+        Some(&mut body.supervisor),
+        restore_telemetry,
+    )?;
     body.engine_state = Some(ck.engine);
     body.time_s = ck.time_s;
     Ok(body)
@@ -1015,7 +931,7 @@ fn dispatch(shared: &MuxShared, arena: &mut EngineArena, worker: usize, id: u64)
 
     // The slice itself: lease an engine, restore the session's state on
     // top, run up to slice_rows more rows, save the state back.
-    let rows_before = body.cursor.trace.times.len() as u64;
+    let rows_before = body.state.cursor.trace.times.len() as u64;
     let limit = match target {
         Target::Pause => rows_before,
         Target::Rows(n) => n.min(rows_before + shared.cfg.slice_rows),
@@ -1025,7 +941,7 @@ fn dispatch(shared: &MuxShared, arena: &mut EngineArena, worker: usize, id: u64)
         if limit <= rows_before {
             return Ok(());
         }
-        let mut lease = arena.checkout(&spec.scenario, body.kind)?;
+        let mut lease = arena.checkout(&spec.scenario, body.state.kind)?;
         if let Some(state) = &body.engine_state {
             if !lease.engine().restore_state(state) {
                 return Err(CheckpointError::Incompatible(
@@ -1034,23 +950,23 @@ fn dispatch(shared: &MuxShared, arena: &mut EngineArena, worker: usize, id: u64)
                 .into());
             }
         }
-        let cursor = std::mem::replace(&mut body.cursor, RunCursor::fresh(0));
-        let cursor = body.harness.run_supervised_slice(
-            lease.engine(),
+        let until = Until {
+            duration_s: spec.duration_s,
+            limit_rows: Some(limit),
+        };
+        body.harness.run_owned(
             &spec.scenario,
-            &mut body.kind,
-            &mut body.ctrl_phase_rad,
-            &mut body.supervisor,
-            spec.duration_s,
-            limit,
-            cursor,
+            lease.engine(),
+            &mut body.state,
+            until,
+            Some(&mut body.supervisor),
+            None,
         )?;
         body.engine_state = Some(lease.engine().save_state());
         body.time_s = lease.engine().time();
-        body.cursor = cursor;
         // A demotion rebuilt the engine in the lease's box; the arena must
         // not re-admit it under the checkout key.
-        if lease.kind() == body.kind {
+        if lease.kind() == body.state.kind {
             arena.checkin(lease);
         }
         Ok(())
@@ -1065,7 +981,7 @@ fn dispatch(shared: &MuxShared, arena: &mut EngineArena, worker: usize, id: u64)
     let mut map = shard.sessions.lock().unwrap();
     let Some(rec) = map.get_mut(&id) else { return };
     rec.restore_telemetry = false;
-    rec.rows = body.cursor.trace.times.len() as u64;
+    rec.rows = body.state.cursor.trace.times.len() as u64;
     rec.time_s = body.time_s;
     rec.last_touch = Instant::now();
     match slice_result {
@@ -1074,12 +990,13 @@ fn dispatch(shared: &MuxShared, arena: &mut EngineArena, worker: usize, id: u64)
             shared.fleet.session_closed(&shared.fleet.failed);
         }
         Ok(()) => {
-            let completed = !body.cursor.trace.outcome.survived() || body.time_s >= spec.duration_s;
+            let trace = &body.state.cursor.trace;
+            let completed = !trace.outcome.survived() || body.time_s >= spec.duration_s;
             if rec.killed {
                 rec.phase = Phase::Dead;
                 shared.fleet.session_closed(&shared.fleet.killed);
             } else if completed {
-                rec.phase = Phase::Finished(Box::new(body.cursor.trace));
+                rec.phase = Phase::Finished(Box::new(body.state.cursor.trace));
                 shared.fleet.session_closed(&shared.fleet.finished);
             } else {
                 let reached = match rec.target {
@@ -1309,6 +1226,64 @@ mod tests {
         h.run_to_end().unwrap();
         let want = reference(&s, None);
         assert_traces_equal(&h.join().unwrap(), &want);
+    }
+
+    /// Eviction bytes are pinned: [`SessionHandle::snapshot`] of a Map and
+    /// a CGRA session paused at row 300, each with and without a
+    /// per-session registry (FNV-1a 64).
+    #[test]
+    fn session_snapshot_bytes_are_pinned() {
+        let fnv1a = |bytes: &[u8]| {
+            bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        };
+        let mut s = scenario();
+        s.faults = crate::fault::FaultProgram::detector_outlier_storm(0.002, 0.008, 0.1, 120.0, 7);
+        let m = mux(1, 64);
+        let mut got = Vec::new();
+        for kind in [EngineKind::Map, EngineKind::Cgra] {
+            for registry in [None, Some(TelemetryRegistry::new())] {
+                let mut spec = SessionSpec::new(s.clone(), kind);
+                spec.registry = registry;
+                let h = m.create(spec).unwrap();
+                h.step_to(300).unwrap();
+                assert_eq!(h.wait().unwrap().rows, 300);
+                got.push(fnv1a(&h.snapshot().unwrap()));
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                0x3932_eaed_9a90_f447,
+                0x5a83_fd76_c7a7_252a,
+                0x9e7a_f016_9588_8e28,
+                0x14e0_b543_2e1c_3145,
+            ]
+        );
+    }
+
+    /// A multi-bunch scenario runs the single-bunch engines
+    /// [`EngineKind::build`] makes, as [`LoopHarness::run_supervised`]
+    /// does: the session trace matches it column for column, and the
+    /// session snapshots and restores.
+    #[test]
+    fn multi_bunch_scenario_session_matches_run_supervised() {
+        let mut s = scenario();
+        s.bunches = 2;
+        let want = reference(&s, None);
+        let m = mux(1, 64);
+        let h = m
+            .create(SessionSpec::new(s.clone(), EngineKind::Map))
+            .unwrap();
+        h.step_to(300).unwrap();
+        h.wait().unwrap();
+        let bytes = h.snapshot().unwrap();
+        let h2 = m
+            .create_from_snapshot(SessionSpec::new(s, EngineKind::Map), bytes)
+            .unwrap();
+        h2.run_to_end().unwrap();
+        assert_traces_equal(&h2.join().unwrap(), &want);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use cil_core::checkpoint::{snapshot_turns, CheckpointConfig};
 use cil_core::fault::{FaultEvent, FaultKind, FaultProgram};
-use cil_core::harness::{LoopHarness, LoopTrace};
+use cil_core::harness::{LoopHarness, LoopTrace, RunSpec};
 use cil_core::hil::EngineKind;
 use cil_core::{LoopSupervisor, MdeScenario};
 
@@ -69,7 +69,7 @@ fn main() {
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(cfg);
     let mut sup = LoopSupervisor::for_scenario(&s);
     let resumed = harness
-        .resume_supervised_from(&s, s.duration_s, &mut sup)
+        .run_spec(&s, RunSpec::resume(s.duration_s).supervised(&mut sup))
         .unwrap();
     println!("resumed run   : {}", describe(&resumed));
 

@@ -34,41 +34,36 @@ RUSTFLAGS="-D warnings" cargo build -q -p cil-core -p cil-dsp -p cil-cgra
 # The strict-faults gate (supervisor recoveries become panics) must keep
 # compiling; it is a debugging configuration, not part of the test run.
 cargo build -q -p cil-core --features strict-faults
+# Every suite in the opt-level 2 test profile, root tests/*.rs included.
+# Headline robustness claims among them (tests/fault_injection.rs): storm
+# recovery, deterministic replay, graceful engine degradation.
 cargo test -q --workspace
 # Signal-chain golden digests and exactness proptests: the per-sample path
 # must stay bit-identical at opt-level 3 with thin LTO too, not only in the
 # opt-level 2 test profile the workspace pass uses.
 cargo test --release -q --test dsp_chain
-# Headline robustness claims: storm recovery, deterministic replay,
-# graceful engine degradation.
-cargo test -q --test fault_injection
 # Telemetry golden traces, merge proptest and exports; the release pass
 # also runs the #[ignore]d throughput guard (telemetry-on <= 1.10x off)
 # and writes results/BENCH_telemetry.json.
-cargo test -q --test telemetry
 cargo test --release -q --test telemetry -- --include-ignored
 # Crash-recovery chaos suite: kill-and-resume bit-identity (including
 # mid-storm and across a fidelity demotion), corrupted-snapshot fallback,
-# decoder fuzzing. The release pass additionally runs the checkpoint
+# decoder fuzzing. The release pass also runs the checkpoint
 # overhead guard (checkpointing-on <= 1.25x off at the default cadence;
 # ~1.08x measured on a quiet machine)
 # and writes results/BENCH_checkpoint.json.
-cargo test -q --test checkpoint_recovery
 cargo test --release -q --test checkpoint_recovery
 # Event-scheduled core: block-size invariance of traces, telemetry and
 # checkpoint bytes under coprime cadences, same-tick ordering proptest,
 # observer cadence and event-tally accounting.
-cargo test -q --test event_core
 cargo test --release -q --test event_core
 # Campaign chaos suite: proptest kill-and-resume byte-identical aggregate
 # CSV, quarantine determinism across worker counts, retry-then-succeed
 # accounting, torn-WAL-tail recovery, foreign-header rejection.
-cargo test -q --test campaign
 cargo test --release -q --test campaign
 # Cavity-failure chaos suite: compensation strictly extends survival,
 # block-size and kill-and-resume bit-identity through the quench window,
 # zero-amplitude == fault-free, cross-fidelity ladder agreement.
-cargo test -q --test cavity_failure
 cargo test --release -q --test cavity_failure
 # Closed-loop throughput guard: plan+batched CGRA must stay >= 0.31x
 # map_batched, and >= 0.76x of itself with a sampled observer attached
@@ -81,7 +76,6 @@ cargo test --release -q -p cil-bench --test campaign_guard -- --include-ignored
 # RefTrack wide-lane kernel differential suite: poly-vs-libm ulp bound,
 # backend × thread × chunk × block bit-identity proptests, checkpoint
 # kill-and-resume through the intra-step parallel path.
-cargo test -q --test reftrack_kernel
 cargo test --release -q --test reftrack_kernel
 # RefTrack kernel throughput guard: polynomial Auto >= 3x host libm on the
 # kernel-dominated case and >= 1.5x end-to-end through the closed loop
@@ -91,7 +85,6 @@ cargo test --release -q -p cil-bench --test reftrack_guard -- --include-ignored
 # worker counts {1,4,8} and slice budgets stay bit-identical to an
 # uninterrupted run_supervised (trace + audit events + deterministic
 # telemetry), including kill-and-resume of snapshot bytes in a fresh mux.
-cargo test -q --test session_mux
 cargo test --release -q --test session_mux
 # bench_service smoke: a small fleet end to end through the bin (table +
 # JSON plumbing; no timing claims at this size). Runs before the guard so

@@ -7,7 +7,7 @@
 //! loop records may move.
 
 use cil_core::checkpoint::CheckpointConfig;
-use cil_core::harness::{LoopHarness, LoopTrace, DEFAULT_BLOCK_ROWS};
+use cil_core::harness::{LoopHarness, LoopTrace, RunSpec, DEFAULT_BLOCK_ROWS};
 use cil_core::hil::EngineKind;
 use cil_core::signalgen::PhaseJumpProgram;
 use cil_core::{LoopSupervisor, MdeScenario};
@@ -168,7 +168,10 @@ fn checkpoint_bytes_are_block_size_invariant() {
             .with_block_rows(block)
             .unwrap()
             .with_checkpointing(cfg)
-            .run_checkpointed(&s, EngineKind::Map, s.duration_s)
+            .run_spec(
+                &s,
+                RunSpec::fresh(&s, EngineKind::Map, s.duration_s).unwrap(),
+            )
             .unwrap();
         let bytes = dir_bytes(&dir);
         assert!(!bytes.is_empty(), "block={block}: checkpoints were written");

@@ -312,7 +312,7 @@ fn sweep_panic_names_the_failing_scenario() {
 #[test]
 fn checkpointed_run_with_fsync_completes() {
     use cil_core::checkpoint::CheckpointConfig;
-    use cil_core::harness::LoopHarness;
+    use cil_core::harness::{LoopHarness, RunSpec};
     let mut s = MdeScenario::nov24_2023();
     s.duration_s = 0.004;
     s.bunches = 1;
@@ -322,7 +322,10 @@ fn checkpointed_run_with_fsync_completes() {
     cfg.fsync = true;
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(cfg);
     let trace = harness
-        .run_checkpointed(&s, EngineKind::Map, s.duration_s)
+        .run_spec(
+            &s,
+            RunSpec::fresh(&s, EngineKind::Map, s.duration_s).unwrap(),
+        )
         .expect("checkpointed run with fsync");
     assert!(!trace.times.is_empty());
 }

@@ -11,7 +11,7 @@
 
 use cil_core::checkpoint::CheckpointConfig;
 use cil_core::fault::{FaultProgram, LoopEvent, LossCause};
-use cil_core::harness::{LoopHarness, LoopTrace};
+use cil_core::harness::{LoopHarness, LoopTrace, RunSpec};
 use cil_core::hil::EngineKind;
 use cil_core::signalgen::PhaseJumpProgram;
 use cil_core::{CompensationPolicy, LoopOutcome, LoopSupervisor, MdeScenario, SignalLevelLoop};
@@ -267,7 +267,7 @@ fn kill_and_resume_inside_the_quench_window_is_bit_identical() {
     let mut sup = LoopSupervisor::for_scenario(&s);
     sup.config.compensation = policy;
     let resumed = harness
-        .resume_supervised_from(&s, s.duration_s, &mut sup)
+        .run_spec(&s, RunSpec::resume(s.duration_s).supervised(&mut sup))
         .unwrap();
     assert_traces_identical(&reference, &resumed);
     assert_eq!(sup.commanded_boost(), 3.0, "boost restored across the cut");

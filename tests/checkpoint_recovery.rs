@@ -16,7 +16,7 @@ use cil_core::checkpoint::{
 };
 use cil_core::engine::MapEngine;
 use cil_core::fault::{FaultEvent, FaultKind, FaultProgram, LoopEvent};
-use cil_core::harness::{LoopHarness, LoopTrace};
+use cil_core::harness::{LoopHarness, LoopTrace, RunSpec, RunStart};
 use cil_core::hil::EngineKind;
 use cil_core::signalgen::PhaseJumpProgram;
 use cil_core::telemetry::TelemetrySnapshot;
@@ -146,14 +146,16 @@ fn unsupervised_round_trip(
     let mut harness = LoopHarness::for_scenario(s, true)
         .with_telemetry(&TelemetryRegistry::new())
         .with_checkpointing(config(dir.clone(), every_turns));
-    let _ = harness.run_checkpointed(s, EngineKind::Map, cut_s).unwrap();
+    let _ = harness
+        .run_spec(s, RunSpec::fresh(s, EngineKind::Map, cut_s).unwrap())
+        .unwrap();
 
     // Resume in a *fresh* harness (new process, as far as state goes).
     let res_reg = TelemetryRegistry::new();
     let mut harness = LoopHarness::for_scenario(s, true)
         .with_telemetry(&res_reg)
         .with_checkpointing(config(dir, every_turns));
-    let resumed = harness.resume_from(s, s.duration_s).unwrap();
+    let resumed = harness.run_spec(s, RunSpec::resume(s.duration_s)).unwrap();
 
     (
         (reference, ref_reg.snapshot()),
@@ -210,7 +212,7 @@ proptest! {
             .with_telemetry(&res_reg)
             .with_checkpointing(config(dir, 256));
         let mut sup = LoopSupervisor::for_scenario(&s);
-        let resumed = harness.resume_supervised_from(&s, s.duration_s, &mut sup).unwrap();
+        let resumed = harness.run_spec(&s, RunSpec::resume(s.duration_s).supervised(&mut sup)).unwrap();
 
         assert_traces_identical(&reference, &resumed);
         prop_assert_eq!(deterministic_part(&ref_reg.snapshot()), deterministic_part(&res_reg.snapshot()));
@@ -255,7 +257,7 @@ fn kill_across_demotion_resumes_bit_identical() {
         let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir, 256));
         let mut sup = LoopSupervisor::for_scenario(&s);
         let resumed = harness
-            .resume_supervised_from(&s, s.duration_s, &mut sup)
+            .run_spec(&s, RunSpec::resume(s.duration_s).supervised(&mut sup))
             .unwrap();
         assert_traces_identical(&reference, &resumed);
     }
@@ -317,7 +319,17 @@ fn reftrack_parallel_step_checkpoints_bit_identical() {
         let mut harness =
             LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir.clone(), 256));
         let trace = harness
-            .run_checkpointed_with(&mut engine, kind, s.duration_s)
+            .run_spec(
+                &s,
+                RunSpec {
+                    duration_s: s.duration_s,
+                    start: RunStart::Fresh {
+                        engine: Box::new(engine),
+                        kind,
+                    },
+                    supervisor: None,
+                },
+            )
             .unwrap();
         assert_traces_identical(&reference, &trace);
         dirs.push(dir);
@@ -336,11 +348,21 @@ fn reftrack_parallel_step_checkpoints_bit_identical() {
     let mut harness =
         LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir.clone(), 256));
     let _ = harness
-        .run_checkpointed_with(&mut engine, kind, s.duration_s * 0.55)
+        .run_spec(
+            &s,
+            RunSpec {
+                duration_s: s.duration_s * 0.55,
+                start: RunStart::Fresh {
+                    engine: Box::new(engine),
+                    kind,
+                },
+                supervisor: None,
+            },
+        )
         .unwrap();
 
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir, 256));
-    let resumed = harness.resume_from(&s, s.duration_s).unwrap();
+    let resumed = harness.run_spec(&s, RunSpec::resume(s.duration_s)).unwrap();
     assert_traces_identical(&reference, &resumed);
 }
 
@@ -377,7 +399,10 @@ fn corrupted_newest_checkpoint_falls_back_and_audits() {
     let mut harness =
         LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir.clone(), 128));
     let _ = harness
-        .run_checkpointed(&s, EngineKind::Map, s.duration_s * 0.6)
+        .run_spec(
+            &s,
+            RunSpec::fresh(&s, EngineKind::Map, s.duration_s * 0.6).unwrap(),
+        )
         .unwrap();
 
     let files = snapshot_files(&dir);
@@ -389,7 +414,7 @@ fn corrupted_newest_checkpoint_falls_back_and_audits() {
     std::fs::write(newest, &bytes).unwrap();
 
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir, 128));
-    let resumed = harness.resume_from(&s, s.duration_s).unwrap();
+    let resumed = harness.run_spec(&s, RunSpec::resume(s.duration_s)).unwrap();
 
     let rejections: Vec<&LoopEvent> = resumed
         .events
@@ -425,7 +450,10 @@ fn truncated_newest_checkpoint_falls_back() {
     let mut harness =
         LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir.clone(), 128));
     let _ = harness
-        .run_checkpointed(&s, EngineKind::Map, s.duration_s * 0.6)
+        .run_spec(
+            &s,
+            RunSpec::fresh(&s, EngineKind::Map, s.duration_s * 0.6).unwrap(),
+        )
         .unwrap();
 
     let files = snapshot_files(&dir);
@@ -434,7 +462,7 @@ fn truncated_newest_checkpoint_falls_back() {
     std::fs::write(newest, &bytes[..bytes.len() / 3]).unwrap();
 
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir, 128));
-    let resumed = harness.resume_from(&s, s.duration_s).unwrap();
+    let resumed = harness.run_spec(&s, RunSpec::resume(s.duration_s)).unwrap();
     assert!(resumed.survived());
     assert_eq!(
         resumed
@@ -455,7 +483,10 @@ fn all_snapshots_corrupted_is_a_typed_error() {
     let mut harness =
         LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir.clone(), 128));
     let _ = harness
-        .run_checkpointed(&s, EngineKind::Map, s.duration_s)
+        .run_spec(
+            &s,
+            RunSpec::fresh(&s, EngineKind::Map, s.duration_s).unwrap(),
+        )
         .unwrap();
 
     for file in snapshot_files(&dir) {
@@ -466,7 +497,9 @@ fn all_snapshots_corrupted_is_a_typed_error() {
     }
 
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir, 128));
-    let err = harness.resume_from(&s, s.duration_s).unwrap_err();
+    let err = harness
+        .run_spec(&s, RunSpec::resume(s.duration_s))
+        .unwrap_err();
     assert!(
         matches!(err, CilError::Checkpoint(CheckpointError::NoCheckpoint)),
         "got {err:?}"
@@ -487,11 +520,55 @@ fn mismatched_resume_entry_point_is_rejected() {
         .unwrap();
 
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir, 128));
-    let err = harness.resume_from(&s, s.duration_s).unwrap_err();
+    let err = harness
+        .run_spec(&s, RunSpec::resume(s.duration_s))
+        .unwrap_err();
     assert!(
         matches!(err, CilError::Checkpoint(CheckpointError::Incompatible(_))),
         "got {err:?}"
     );
+}
+
+/// The reverse mismatch: an unsupervised checkpoint refuses a supervised
+/// resume, with the same typed incompatibility.
+#[test]
+fn unsupervised_checkpoint_rejects_a_supervised_resume() {
+    let s = base_scenario(0.01);
+    let dir = ckpt_dir("mismatched-reverse");
+    LoopHarness::for_scenario(&s, true)
+        .with_checkpointing(config(dir.clone(), 128))
+        .run_spec(
+            &s,
+            RunSpec::fresh(&s, EngineKind::Map, s.duration_s).unwrap(),
+        )
+        .unwrap();
+
+    let mut sup = LoopSupervisor::for_scenario(&s);
+    let err = LoopHarness::for_scenario(&s, true)
+        .with_checkpointing(config(dir, 128))
+        .run_spec(&s, RunSpec::resume(s.duration_s).supervised(&mut sup))
+        .unwrap_err();
+    assert!(
+        matches!(err, CilError::Checkpoint(CheckpointError::Incompatible(_))),
+        "got {err:?}"
+    );
+}
+
+/// A resume needs a checkpoint directory to read: without
+/// `with_checkpointing` it is a configuration error, supervised or not.
+#[test]
+fn resume_without_checkpointing_is_a_config_error() {
+    let s = base_scenario(0.01);
+    let mut sup = LoopSupervisor::for_scenario(&s);
+    for spec in [
+        RunSpec::resume(s.duration_s),
+        RunSpec::resume(s.duration_s).supervised(&mut sup),
+    ] {
+        let err = LoopHarness::for_scenario(&s, true)
+            .run_spec(&s, spec)
+            .unwrap_err();
+        assert!(matches!(err, CilError::InvalidConfig(_)), "got {err:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -505,7 +582,10 @@ fn real_snapshot_bytes() -> Vec<u8> {
     let mut harness =
         LoopHarness::for_scenario(&s, true).with_checkpointing(config(dir.clone(), 128));
     let _ = harness
-        .run_checkpointed(&s, EngineKind::Map, s.duration_s)
+        .run_spec(
+            &s,
+            RunSpec::fresh(&s, EngineKind::Map, s.duration_s).unwrap(),
+        )
         .unwrap();
     let files = snapshot_files(&dir);
     std::fs::read(files.last().unwrap()).unwrap()
@@ -568,7 +648,10 @@ fn hostile_bunch_count_block_is_a_typed_error() {
     let dir = ckpt_dir("hostile-bunches");
     LoopHarness::for_scenario(&s, true)
         .with_checkpointing(config(dir.clone(), 128))
-        .run_checkpointed(&s, EngineKind::Map, s.duration_s)
+        .run_spec(
+            &s,
+            RunSpec::fresh(&s, EngineKind::Map, s.duration_s).unwrap(),
+        )
         .unwrap();
     let files = snapshot_files(&dir);
     let mut ck = decode_snapshot(&std::fs::read(files.last().unwrap()).unwrap()).unwrap();
@@ -582,7 +665,7 @@ fn hostile_bunch_count_block_is_a_typed_error() {
     std::fs::write(dir.join("trace.log"), &block).unwrap();
     let err = LoopHarness::for_scenario(&s, true)
         .with_checkpointing(config(dir, 128))
-        .resume_from(&s, s.duration_s)
+        .run_spec(&s, RunSpec::resume(s.duration_s))
         .unwrap_err();
     assert!(
         matches!(err, CilError::Checkpoint(CheckpointError::NoCheckpoint)),
@@ -672,7 +755,9 @@ fn checkpoint_overhead_bounded() {
             harness = harness.with_checkpointing(CheckpointConfig::new(dir.clone()));
         }
         let t0 = std::time::Instant::now();
-        let trace = harness.run_checkpointed(&s, kind, s.duration_s).unwrap();
+        let trace = harness
+            .run_spec(&s, RunSpec::fresh(&s, kind, s.duration_s).unwrap())
+            .unwrap();
         let dt = t0.elapsed().as_secs_f64();
         assert_eq!(trace.times.len(), rows);
         dt

@@ -14,7 +14,7 @@
 use cil_core::checkpoint::CheckpointConfig;
 use cil_core::event::{EventQueue, ScheduledEvent, SimEvent};
 use cil_core::fault::FaultProgram;
-use cil_core::harness::{LoopHarness, LoopTrace, DEFAULT_BLOCK_ROWS};
+use cil_core::harness::{LoopHarness, LoopTrace, RunSpec, DEFAULT_BLOCK_ROWS};
 use cil_core::hil::EngineKind;
 use cil_core::signalgen::PhaseJumpProgram;
 use cil_core::telemetry::TelemetrySnapshot;
@@ -352,17 +352,20 @@ fn zero_cadences_are_rejected_as_config_errors() {
         .is_err());
 }
 
-/// A zero checkpoint cadence aborts `run_checkpointed` before any engine
-/// stepping or directory I/O happens.
+/// A zero checkpoint cadence aborts `run_spec` before any engine stepping
+/// or directory I/O happens.
 #[test]
-fn run_checkpointed_validates_the_cadence() {
+fn run_spec_validates_the_cadence() {
     let s = base_scenario(0.01);
     let dir = ckpt_dir("invalid-run");
     let mut cfg = CheckpointConfig::new(dir.clone());
     cfg.every_turns = 0;
     let err = LoopHarness::for_scenario(&s, true)
         .with_checkpointing(cfg)
-        .run_checkpointed(&s, EngineKind::Map, s.duration_s);
+        .run_spec(
+            &s,
+            RunSpec::fresh(&s, EngineKind::Map, s.duration_s).unwrap(),
+        );
     assert!(err.is_err(), "cadence 0 must be rejected");
     assert!(!dir.exists(), "no checkpoint directory for a rejected run");
 }

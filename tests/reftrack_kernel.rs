@@ -22,7 +22,7 @@ mod common;
 
 use cavity_in_the_loop::checkpoint::CheckpointConfig;
 use cavity_in_the_loop::engine::RefTrackEngine;
-use cavity_in_the_loop::harness::LoopHarness;
+use cavity_in_the_loop::harness::{LoopHarness, RunSpec, RunStart};
 use cavity_in_the_loop::hil::EngineKind;
 use cavity_in_the_loop::reftrack::kernel::{poly_sin, ulp_distance, KernelBackend, REDUCE_QUANTUM};
 use cavity_in_the_loop::reftrack::{MultiParticleTracker, TrackerConfig};
@@ -213,12 +213,22 @@ fn checkpoint_resume_through_parallel_step() {
     });
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(cfg.clone());
     let _ = harness
-        .run_checkpointed_with(&mut engine, kind, s.duration_s * 0.6)
+        .run_spec(
+            &s,
+            RunSpec {
+                duration_s: s.duration_s * 0.6,
+                start: RunStart::Fresh {
+                    engine: Box::new(engine),
+                    kind,
+                },
+                supervisor: None,
+            },
+        )
         .unwrap();
 
     // Fresh harness resumes (rebuilds the engine with default workers).
     let mut harness = LoopHarness::for_scenario(&s, true).with_checkpointing(cfg);
-    let resumed = harness.resume_from(&s, s.duration_s).unwrap();
+    let resumed = harness.run_spec(&s, RunSpec::resume(s.duration_s)).unwrap();
 
     assert_eq!(reference.times, resumed.times);
     assert_eq!(reference.bunch_phase_deg, resumed.bunch_phase_deg);
