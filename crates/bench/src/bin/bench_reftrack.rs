@@ -3,17 +3,16 @@
 //! backend the host exposes) at small/medium/large ensembles, plus the full
 //! closed-loop `RefTrackEngine` path on both `Auto` and libm.
 //!
-//! Prints the table and writes `results/BENCH_reftrack.json`. Meaningful in
-//! release builds only (`cargo run --release -p cil-bench --bin
-//! bench_reftrack`); the release-only `reftrack_guard` test enforces the
-//! kernel and engine bounds on CI.
+//! Prints the table and writes `target/bench/BENCH_reftrack.json`
+//! (`scripts/bench.sh` copies it into `results/`). Meaningful in release
+//! builds only (`cargo run --release -p cil-bench --bin bench_reftrack`);
+//! the release-only `reftrack_guard` test enforces the kernel and engine
+//! bounds.
 //!
 //! Flags: `--revolutions N` (engine cases, default 10000), `--runs N`
-//! (default 3).
+//! (samples per case, default 3).
 
-use cil_bench::reftrack_bench::{
-    guard_ratios, run_reftrack_bench, write_bench_json, ENGINE_BOUND, KERNEL_BOUND,
-};
+use cil_bench::reftrack_bench::{run_reftrack_bench, ENGINE_BOUND, KERNEL_BOUND};
 use cil_bench::{arg_value, Table};
 
 fn main() {
@@ -24,38 +23,36 @@ fn main() {
     if cfg!(debug_assertions) {
         eprintln!("warning: debug build — timings are not meaningful");
     }
-    println!("RefTrack kernel throughput (best of {runs} runs)\n");
+    println!("RefTrack kernel throughput ({runs} samples per case)\n");
 
-    let rows = run_reftrack_bench(revolutions, runs);
+    let bench = run_reftrack_bench(revolutions, runs);
     let mut t = Table::new(&[
         "case",
         "particles",
         "threads",
         "turns",
-        "wall [ms]",
-        "Mpart-turns/s",
+        "Mpart-turns/s [q1, q3]",
         "ns/particle-turn",
     ]);
-    for r in &rows {
+    for r in &bench.rows {
         t.row(&[
-            r.label.clone(),
-            format!("{}", r.particles),
-            format!("{}", r.threads),
+            r.case.label.clone(),
+            format!("{}", r.case.particles),
+            format!("{}", r.case.threads),
             format!("{}", r.turns),
-            format!("{:.2}", r.wall_s * 1e3),
-            format!("{:.2}", r.particle_turns_per_sec * 1e-6),
-            format!("{:.2}", r.ns_per_particle_turn),
+            format!("{}", r.particle_turns_per_sec.scaled(1e-6)),
+            format!("{:.2}", r.ns_per_particle_turn()),
         ]);
     }
     t.print();
 
-    let (kernel_ratio, engine_ratio) = guard_ratios(&rows);
     println!(
-        "\npolynomial kernel vs host libm (large ensemble): {kernel_ratio:.2}x (bound {KERNEL_BOUND}x)"
+        "\nAuto kernel vs host libm (large ensemble): {}x (bound {KERNEL_BOUND}x)",
+        bench.kernel.ratio
     );
     println!(
-        "closed-loop engine Auto vs libm:               {engine_ratio:.2}x (bound {ENGINE_BOUND}x)"
+        "closed-loop engine Auto vs libm:           {}x (bound {ENGINE_BOUND}x)",
+        bench.engine.ratio
     );
-    let path = write_bench_json(runs, &rows);
-    println!("data -> {}", path.display());
+    println!("data -> {}", bench.write().display());
 }

@@ -3,22 +3,20 @@
 //! sweep, with the single-loop `map_batched` rate as the per-core
 //! baseline.
 //!
-//! Prints the table and writes `results/BENCH_service.json`. Meaningful in
-//! release builds only (`cargo run --release -p cil-bench --bin
-//! bench_service`); the release-only `service_guard` test enforces the
-//! 0.5x-of-baseline aggregate bound on CI.
+//! Prints the table and writes `target/bench/BENCH_service.json`
+//! (`scripts/bench.sh` copies it into `results/`). Meaningful in release
+//! builds only (`cargo run --release -p cil-bench --bin bench_service`);
+//! the release-only `service_guard` test enforces the 0.5x-of-baseline
+//! aggregate bound.
 //!
 //! Flags: `--sessions N` (default 1000), `--revolutions N` (hot-session
 //! rows, default 2000), `--workers a,b,c` (default `1,2,4,8`).
 //!
 //! [`SessionMux`]: cil_core::SessionMux
 
-use cil_bench::service_bench::{baseline_map_rate, run_service_bench, scaling, write_service_json};
+use cil_bench::measure::oversubscribed;
+use cil_bench::service_bench::{run_service_bench, BASELINE_BOUND};
 use cil_bench::{arg_value, Table};
-
-/// The guard bound: the fleet aggregate must reach at least this fraction
-/// of the single-loop baseline per worker-independent core.
-const BOUND: f64 = 0.5;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -42,33 +40,36 @@ fn main() {
          hot sessions {revolutions} revolutions)\n"
     );
 
-    let baseline = baseline_map_rate(revolutions.max(100_000), 3);
-    let rows = run_service_bench(&workers, sessions, revolutions, 3);
+    let bench = run_service_bench(&workers, sessions, revolutions, revolutions.max(100_000), 3);
+    let baseline = bench.baseline_revs_per_sec();
     let mut t = Table::new(&[
         "workers",
         "sessions",
         "total rows",
-        "wall [ms]",
-        "aggregate revs/s",
+        "M revs/s [q1, q3]",
         "vs 1-loop baseline",
         "p99 dispatch [us]",
     ]);
-    for r in &rows {
+    for r in &bench.rows {
+        let star = if oversubscribed(r.workers) { "*" } else { "" };
         t.row(&[
-            r.workers.to_string(),
+            format!("{}{star}", r.workers),
             r.sessions.to_string(),
             r.total_rows.to_string(),
-            format!("{:.1}", r.wall_s * 1e3),
-            format!("{:.0}", r.revs_per_sec),
-            format!("{:.2}x", r.revs_per_sec / baseline),
+            format!("{}", r.revs_per_sec.scaled(1e-6)),
+            format!("{:.2}x", r.revs_per_sec.median / baseline),
             format!("{:.1}", r.p99_dispatch_s * 1e6),
         ]);
     }
     t.print();
+    println!("(* more workers than cores: oversubscribed, no scaling claim)");
     println!("\nsingle-loop map_batched baseline: {baseline:.0} revs/s");
-    if rows.iter().any(|r| r.workers == 8) && rows.iter().any(|r| r.workers == 1) {
-        println!("scaling 1 -> 8 workers: {:.2}x", scaling(&rows, 8, 1));
+    println!(
+        "1-worker fleet vs baseline, paired: {}x (bound {BASELINE_BOUND}x)",
+        bench.vs_baseline.ratio
+    );
+    if let Some(scaling) = &bench.scaling {
+        println!("scaling 1 -> 8 workers, paired: {}x", scaling.ratio);
     }
-    let path = write_service_json(revolutions, &rows, baseline, BOUND);
-    println!("data -> {}", path.display());
+    println!("data -> {}", bench.write().display());
 }

@@ -14,16 +14,19 @@
 //! * `results/phase_diagram.csv` — one row per point: the swept knobs plus
 //!   first-peak ratio, residual ratio and damping time (empty cells for
 //!   quarantined points). Plot with `scripts/plot_phase_diagram.py`.
-//! * `results/BENCH_campaign.json` — points/s at several worker counts on
-//!   a subset, the full campaign's throughput, and the resume overhead
-//!   (re-running a completed campaign: WAL scan + CSV rewrite, no
-//!   simulation).
+//! * `target/bench/BENCH_campaign.json` — points/s at several worker
+//!   counts on a subset (median and quartiles over samples, rows with more
+//!   workers than cores marked oversubscribed), the full campaign's
+//!   throughput, and the resume overhead (re-running a completed campaign:
+//!   WAL scan + CSV rewrite, no simulation). `scripts/bench.sh` copies it
+//!   into `results/`.
 //!
 //! `--quick` shrinks the cube to a few hundred points (CI smoke); the full
 //! diagram is the default. `--dir <path>` relocates the campaign
 //! directory (default `target/campaign_runner`).
 
-use cil_bench::{arg_flag, arg_value, results_dir, write_csv};
+use cil_bench::measure::{oversubscribed, samples, timed, write_bench, Json};
+use cil_bench::{arg_flag, arg_value, write_csv};
 use cil_core::campaign::{Campaign, CampaignConfig, CampaignWorker, PointStatus};
 use cil_core::error::Result as CilResult;
 use cil_core::hil::{EngineKind, TurnLevelLoop};
@@ -32,7 +35,6 @@ use cil_core::telemetry::TelemetryRegistry;
 use cil_core::trace::score_jump_response;
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// One closed-loop evaluation: turn-level Map-fidelity loop, one phase
 /// jump, scored over the window up to the next jump edge.
@@ -139,29 +141,40 @@ fn main() {
     let mut scaling = Vec::new();
     for &workers in &worker_counts {
         let dir = base_dir.join(format!("scaling_w{workers}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let campaign = Campaign::new(subset, config(dir, workers)).expect("config is valid");
-        let t = Instant::now();
-        let report = campaign.run(evaluate).expect("subset campaign runs");
-        let wall = t.elapsed().as_secs_f64();
+        let points_per_sec = samples(3, subset.len() as f64, || {
+            let _ = std::fs::remove_dir_all(&dir);
+            let campaign =
+                Campaign::new(subset, config(dir.clone(), workers)).expect("config is valid");
+            let (report, secs) = timed(|| campaign.run(evaluate).expect("subset campaign runs"));
+            assert_eq!(report.completed + report.quarantined, subset.len());
+            secs
+        });
         println!(
-            "  workers={workers:<2} subset={:<5} wall={wall:>7.2}s  {:>8.1} points/s",
+            "  workers={workers:<2} subset={:<5} {points_per_sec} points/s{}",
             subset.len(),
-            subset.len() as f64 / wall
+            if oversubscribed(workers) {
+                "  (oversubscribed)"
+            } else {
+                ""
+            }
         );
-        assert_eq!(report.completed + report.quarantined, subset.len());
-        scaling.push((workers, subset.len(), wall));
+        scaling.push(Json::obj(vec![
+            ("workers", workers.into()),
+            ("oversubscribed", oversubscribed(workers).into()),
+            ("points", subset.len().into()),
+            ("points_per_sec", points_per_sec.json()),
+        ]));
     }
 
     // ---- the full (or quick) phase diagram -------------------------------
     let dir = base_dir.join(if quick { "diagram_quick" } else { "diagram" });
     let root = TelemetryRegistry::new();
     let campaign = Campaign::new(&points, config(dir.clone(), nproc)).expect("config is valid");
-    let t = Instant::now();
-    let report = campaign
-        .run_with_telemetry(&root, evaluate)
-        .expect("phase-diagram campaign runs");
-    let fresh_wall = t.elapsed().as_secs_f64();
+    let (report, fresh_wall) = timed(|| {
+        campaign
+            .run_with_telemetry(&root, evaluate)
+            .expect("phase-diagram campaign runs")
+    });
     println!(
         "\nphase diagram: {} completed, {} quarantined, {} retries, {} shards ({} resumed) in {:.1}s ({:.1} points/s)",
         report.completed,
@@ -175,9 +188,7 @@ fn main() {
 
     // ---- resume overhead: re-run the finished campaign --------------------
     let campaign2 = Campaign::new(&points, config(dir, nproc)).expect("config is valid");
-    let t = Instant::now();
-    let resumed = campaign2.run(evaluate).expect("resume runs");
-    let resume_wall = t.elapsed().as_secs_f64();
+    let (resumed, resume_wall) = timed(|| campaign2.run(evaluate).expect("resume runs"));
     assert_eq!(resumed.shards_resumed, report.shards_total);
     println!(
         "resume of completed campaign: {resume_wall:.3}s (WAL scan + CSV rewrite, no simulation)"
@@ -210,37 +221,33 @@ fn main() {
     let csv_path = write_csv("phase_diagram.csv", &csv);
     println!("wrote {}", csv_path.display());
 
-    // ---- results/BENCH_campaign.json -------------------------------------
+    // ---- target/bench/BENCH_campaign.json ---------------------------------
+    // The full diagram and its resume each run once: they are single
+    // timings, not samples.
     let snap = root.snapshot();
-    let mut scaling_json = String::new();
-    for (i, (workers, n, wall)) in scaling.iter().enumerate() {
-        if i > 0 {
-            scaling_json.push(',');
-        }
-        let _ = write!(
-            scaling_json,
-            "{{\"workers\":{workers},\"points\":{n},\"wall_s\":{wall:.6},\"points_per_sec\":{:.3}}}",
-            *n as f64 / wall
-        );
-    }
-    let json = format!(
-        "{{\"bench\":\"campaign\",\"quick\":{quick},\"points\":{},\"shards\":{},\
-\"completed\":{},\"quarantined\":{},\"retries\":{},\
-\"fresh_wall_s\":{fresh_wall:.6},\"points_per_sec\":{:.3},\
-\"resume_wall_s\":{resume_wall:.6},\"resume_overhead_frac\":{:.6},\
-\"arena_hits\":{},\"arena_misses\":{},\
-\"scaling\":[{scaling_json}]}}\n",
-        points.len(),
-        report.shards_total,
-        report.completed,
-        report.quarantined,
-        report.retries,
-        points.len() as f64 / fresh_wall,
-        resume_wall / fresh_wall,
-        snap.counter("cil_arena_hits_total").unwrap_or(0),
-        snap.counter("cil_arena_misses_total").unwrap_or(0),
+    let path = write_bench(
+        "campaign",
+        vec![
+            ("quick", quick.into()),
+            ("points", points.len().into()),
+            ("shards", report.shards_total.into()),
+            ("completed", report.completed.into()),
+            ("quarantined", report.quarantined.into()),
+            ("retries", report.retries.into()),
+            ("fresh_wall_s", fresh_wall.into()),
+            ("points_per_sec", (points.len() as f64 / fresh_wall).into()),
+            ("resume_wall_s", resume_wall.into()),
+            ("resume_overhead_frac", (resume_wall / fresh_wall).into()),
+            (
+                "arena_hits",
+                snap.counter("cil_arena_hits_total").unwrap_or(0).into(),
+            ),
+            (
+                "arena_misses",
+                snap.counter("cil_arena_misses_total").unwrap_or(0).into(),
+            ),
+            ("scaling", scaling.into()),
+        ],
     );
-    let json_path = results_dir().join("BENCH_campaign.json");
-    std::fs::write(&json_path, json).expect("write BENCH_campaign.json");
-    println!("wrote {}", json_path.display());
+    println!("wrote {}", path.display());
 }

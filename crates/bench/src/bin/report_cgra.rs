@@ -6,6 +6,7 @@
 //! `--bunches N` (default 1), `--sequential` (default pipelined),
 //! `--grid N` (N×N mesh, default 5), `--source` (dump the C source).
 
+use cil_bench::measure::{samples, timed};
 use cil_bench::{arg_flag, arg_value};
 use cil_cgra::context::ContextMemories;
 use cil_cgra::grid::GridConfig;
@@ -14,8 +15,6 @@ use cil_cgra::report::{gantt, pe_stats, summary};
 use cil_cgra::route::route;
 use cil_cgra::sched::ListScheduler;
 use cil_core::scenario::MdeScenario;
-use std::hint::black_box;
-use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -80,20 +79,15 @@ fn main() {
 
     // Reconfiguration is a software step, not hours of synthesis: time the
     // full toolchain (generate + compile C, pipeline split, schedule, pack
-    // contexts), best of a few repetitions to shed scheduler noise.
-    const REPS: usize = 20;
-    let best_s = (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
+    // contexts), in builds per second over five samples.
+    let per_s = samples(5, 1.0, || {
+        timed(|| {
             let k = build_beam_kernel(&params, bunches, pipelined);
             let s = ListScheduler::new(grid).schedule(&k.kernel.dfg);
-            black_box(ContextMemories::from_schedule(&k.kernel.dfg, &s).pack());
-            t.elapsed().as_secs_f64()
+            ContextMemories::from_schedule(&k.kernel.dfg, &s).pack()
         })
-        .fold(f64::INFINITY, f64::min);
+        .1
+    });
     println!("\n== toolchain ==");
-    println!(
-        "  source -> contexts : {:.3} ms (best of {REPS})",
-        best_s * 1e3
-    );
+    println!("  source -> contexts : {per_s} builds/s (median [q1, q3])");
 }

@@ -12,25 +12,23 @@
 //! | `ablation_*`          | design-choice ablations A1–A6 |
 //!
 //! plus the `bench_*` throughput bins for the real-time claims. Binaries
-//! print aligned tables to stdout and drop CSV artifacts into `results/`.
+//! print aligned tables to stdout and drop CSV artifacts into `results/`;
+//! every timing claim goes through [`measure`], which writes its JSON
+//! under `target/bench/`.
 
 pub mod loop_bench;
+pub mod measure;
 pub mod reftrack_bench;
 pub mod service_bench;
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Directory CSV artifacts are written to (created on demand).
-pub fn results_dir() -> PathBuf {
-    let p = PathBuf::from("results");
-    let _ = fs::create_dir_all(&p);
-    p
-}
-
-/// Write a CSV artifact; returns the path written.
+/// Write a CSV artifact to `results/` (created on demand); returns the
+/// path written.
 pub fn write_csv(name: &str, contents: &str) -> PathBuf {
-    let path = results_dir().join(name);
+    let _ = fs::create_dir_all("results");
+    let path = Path::new("results").join(name);
     fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     path
 }
@@ -162,11 +160,6 @@ pub fn arg_flag(args: &[String], key: &str) -> bool {
 /// Format a paper-vs-measured comparison line.
 pub fn compare_line(metric: &str, paper: &str, measured: &str) -> String {
     format!("  {metric:<42} paper: {paper:<18} ours: {measured}")
-}
-
-/// Check whether a path exists (test helper).
-pub fn artifact_exists(name: &str) -> bool {
-    Path::new("results").join(name).exists()
 }
 
 #[cfg(test)]

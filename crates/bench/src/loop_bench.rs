@@ -3,18 +3,18 @@
 //! Measures the full harness + engine hot loop — the path every executive,
 //! sweep and ablation sits on — for each fidelity and execution mode this
 //! repo ships: batched [`step_block`] stepping vs per-turn blocks, with and
-//! without a sampled observer. The `bench_loop` binary prints the table and
-//! writes `results/BENCH_loop.json`; the release-only `loop_guard` test
-//! pins plan+batched CGRA at ≥ [`PLAN_VS_MAP_BOUND`] × `map_batched` and
+//! without a sampled observer. The `bench_loop` binary and the
+//! release-only `loop_guard` test both measure through
+//! [`measure`](crate::measure) and write `target/bench/BENCH_loop.json`;
+//! the guard pins plan+batched CGRA at ≥ [`PLAN_VS_MAP_BOUND`] × `map_batched` and
 //! the observed loop at ≥ [`OBSERVED_VS_PLAN_BOUND`] × the unobserved one,
 //! so the optimisation cannot silently regress.
 //!
 //! [`step_block`]: cil_core::engine::BeamEngine::step_block
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
+use crate::measure::{paired, samples, timed, write_bench, Json, Paired, Spread};
 use cil_core::engine::{BeamEngine, CgraEngine, EngineKind};
 use cil_core::harness::{LoopHarness, DEFAULT_BLOCK_ROWS};
 use cil_core::scenario::MdeScenario;
@@ -107,12 +107,24 @@ pub fn standard_cases() -> Vec<CaseSpec> {
 pub struct LoopBenchRow {
     /// Stable case id (`fidelity_mode`).
     pub label: &'static str,
-    /// Measured rows per run.
+    /// Trace rows per run.
     pub revolutions: u64,
-    /// Best-of-runs wall clock, seconds.
-    pub wall_s: f64,
-    /// `revolutions / wall_s`.
-    pub revs_per_sec: f64,
+    /// Revolutions per second over the case's samples.
+    pub revs_per_sec: Spread,
+}
+
+/// The standing loop benchmark: the case matrix and the guard's two
+/// paired ratios.
+#[derive(Debug, Clone)]
+pub struct LoopBench {
+    /// Revolutions each run asks for.
+    pub revolutions: u64,
+    /// One row per [`standard_cases`] entry.
+    pub rows: Vec<LoopBenchRow>,
+    /// `cgra_plan_batched` over `map_batched` throughput.
+    pub plan_vs_map: Paired,
+    /// `cgra_plan_observed` over `cgra_plan_batched` throughput.
+    pub observed_vs_plan: Paired,
 }
 
 fn build_engine(s: &MdeScenario, kind: CaseKind) -> Box<dyn BeamEngine> {
@@ -130,23 +142,20 @@ fn build_engine(s: &MdeScenario, kind: CaseKind) -> Box<dyn BeamEngine> {
     }
 }
 
-/// Measure one case: best-of-`runs` wall clock over the closed loop.
-/// Engine construction (and for the CGRA fidelity the cached kernel
+/// One closed-loop run of a case: its trace rows and the seconds the loop
+/// took. Engine construction (and for the CGRA fidelity the cached kernel
 /// compile) happens outside the timed region — this benchmarks the hot
 /// loop, not setup.
-pub fn measure_case(s: &MdeScenario, case: CaseSpec, runs: usize) -> LoopBenchRow {
-    let mut best = f64::INFINITY;
-    let mut rows = 0u64;
-    for _ in 0..runs {
-        let mut engine = build_engine(s, case.kind);
-        let mut harness = LoopHarness::for_scenario(s, true);
-        if case.per_turn {
-            harness = harness
-                .with_block_rows(1)
-                .expect("per-turn block size is valid");
-        }
-        let t0 = Instant::now();
-        let trace = if case.observed {
+pub(crate) fn case_run(s: &MdeScenario, case: CaseSpec) -> (u64, f64) {
+    let mut engine = build_engine(s, case.kind);
+    let mut harness = LoopHarness::for_scenario(s, true);
+    if case.per_turn {
+        harness = harness
+            .with_block_rows(1)
+            .expect("per-turn block size is valid");
+    }
+    let (trace, secs) = timed(|| {
+        if case.observed {
             // A sampled observer at the default block cadence: the event
             // core schedules it between blocks, so the hot loop stays
             // batched. `black_box` keeps the hook from optimising away.
@@ -162,42 +171,49 @@ pub fn measure_case(s: &MdeScenario, case: CaseSpec, runs: usize) -> LoopBenchRo
                 .expect("observer cadence is valid")
         } else {
             harness.run(engine.as_mut(), s.duration_s)
-        };
-        let dt = t0.elapsed().as_secs_f64();
-        assert!(
-            trace.outcome.survived(),
-            "{}: beam lost mid-bench",
-            case.label
-        );
-        rows = trace.times.len() as u64;
-        best = best.min(dt);
-    }
-    LoopBenchRow {
-        label: case.label,
-        revolutions: rows,
-        wall_s: best,
-        revs_per_sec: rows as f64 / best,
-    }
+        }
+    });
+    assert!(
+        trace.outcome.survived(),
+        "{}: beam lost mid-bench",
+        case.label
+    );
+    (trace.times.len() as u64, secs)
 }
 
-/// Run the full standard-case matrix (first case doubles as warmup: one
-/// untimed run pages in code and settles the allocator and kernel cache).
-pub fn run_loop_bench(revolutions: u64, runs: usize) -> Vec<LoopBenchRow> {
+/// The standard case called `label`.
+pub(crate) fn case(label: &str) -> CaseSpec {
+    standard_cases()
+        .into_iter()
+        .find(|c| c.label == label)
+        .unwrap_or_else(|| panic!("no case {label}"))
+}
+
+/// Run the full standard-case matrix, `samples_per_case` samples each,
+/// and the guard's two paired ratios.
+pub fn run_loop_bench(revolutions: u64, samples_per_case: usize) -> LoopBench {
     let s = bench_scenario(revolutions);
-    let cases = standard_cases();
-    let _ = measure_case(&s, cases[0], 1);
-    cases.iter().map(|&c| measure_case(&s, c, runs)).collect()
-}
-
-/// Throughput ratio between two measured cases (`num` over `den`).
-pub fn speedup(rows: &[LoopBenchRow], num: &str, den: &str) -> f64 {
-    let find = |label: &str| {
-        rows.iter()
-            .find(|r| r.label == label)
-            .unwrap_or_else(|| panic!("no case {label}"))
-            .revs_per_sec
-    };
-    find(num) / find(den)
+    let rows = standard_cases()
+        .into_iter()
+        .map(|c| {
+            let rows = case_run(&s, c).0;
+            LoopBenchRow {
+                label: c.label,
+                revolutions: rows,
+                revs_per_sec: samples(samples_per_case, rows as f64, || case_run(&s, c).1),
+            }
+        })
+        .collect();
+    let [map, plan, observed] =
+        ["map_batched", "cgra_plan_batched", "cgra_plan_observed"].map(case);
+    let s = &s;
+    let run = |c| move || case_run(s, c).1;
+    LoopBench {
+        revolutions,
+        rows,
+        plan_vs_map: paired(run(plan), run(map)),
+        observed_vs_plan: paired(run(observed), run(plan)),
+    }
 }
 
 /// Guard bound: `cgra_plan_batched` must reach at least this fraction of
@@ -213,47 +229,41 @@ pub const PLAN_VS_MAP_BOUND: f64 = 0.31;
 /// observed-loop bound over the node walk, restated the same way.
 pub const OBSERVED_VS_PLAN_BOUND: f64 = 0.76;
 
-/// The guard's two ratios: plan+batched CGRA over `map_batched`, and the
-/// observer-attached plan loop over the unobserved one.
-pub fn guard_ratios(rows: &[LoopBenchRow]) -> (f64, f64) {
-    (
-        speedup(rows, "cgra_plan_batched", "map_batched"),
-        speedup(rows, "cgra_plan_observed", "cgra_plan_batched"),
-    )
-}
-
-/// Write `results/BENCH_loop.json` (repo-root `results/`, independent of
-/// the working directory); returns the path written.
-pub fn write_bench_json(revolutions: u64, runs: usize, rows: &[LoopBenchRow]) -> PathBuf {
-    let (plan_vs_map, observed_vs_plan) = guard_ratios(rows);
-    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut cases = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            cases.push(',');
-        }
-        write!(
-            cases,
-            "{{\"label\":\"{}\",\"revolutions\":{},\"wall_s\":{},\"revs_per_sec\":{}}}",
-            r.label, r.revolutions, r.wall_s, r.revs_per_sec
+impl LoopBench {
+    /// Write `target/bench/BENCH_loop.json`; returns the path written.
+    pub fn write(&self) -> PathBuf {
+        let cases = self
+            .rows
+            .iter()
+            .map(|r| {
+                Json::obj(vec![
+                    ("label", r.label.into()),
+                    ("revolutions", r.revolutions.into()),
+                    ("revs_per_sec", r.revs_per_sec.json()),
+                ])
+            })
+            .collect::<Vec<_>>();
+        write_bench(
+            "loop",
+            vec![
+                ("revolutions", self.revolutions.into()),
+                ("cases", cases.into()),
+                ("plan_batched_vs_map_batched", self.plan_vs_map.json()),
+                (
+                    "bound_plan_batched_vs_map_batched",
+                    PLAN_VS_MAP_BOUND.into(),
+                ),
+                (
+                    "plan_observed_vs_plan_batched",
+                    self.observed_vs_plan.json(),
+                ),
+                (
+                    "bound_plan_observed_vs_plan_batched",
+                    OBSERVED_VS_PLAN_BOUND.into(),
+                ),
+            ],
         )
-        .unwrap();
     }
-    let path = dir.join("BENCH_loop.json");
-    std::fs::write(
-        &path,
-        format!(
-            "{{\"bench\":\"loop_throughput\",\"revolutions\":{revolutions},\"runs\":{runs},\
-             \"cases\":[{cases}],\
-             \"ratio_plan_batched_vs_map_batched\":{plan_vs_map},\
-             \"bound_plan_batched_vs_map_batched\":{PLAN_VS_MAP_BOUND},\
-             \"ratio_plan_observed_vs_plan_batched\":{observed_vs_plan},\
-             \"bound_plan_observed_vs_plan_batched\":{OBSERVED_VS_PLAN_BOUND}}}\n"
-        ),
-    )
-    .unwrap();
-    path
 }
 
 #[cfg(test)]
@@ -281,34 +291,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn speedup_reads_the_named_cases() {
-        let rows = vec![
-            LoopBenchRow {
-                label: "a",
-                revolutions: 10,
-                wall_s: 1.0,
-                revs_per_sec: 10.0,
-            },
-            LoopBenchRow {
-                label: "b",
-                revolutions: 10,
-                wall_s: 2.0,
-                revs_per_sec: 5.0,
-            },
-        ];
-        assert!((speedup(&rows, "a", "b") - 2.0).abs() < 1e-12);
-    }
-
-    /// A tiny smoke run (debug build, so no timing claims): every case
-    /// completes and records the same number of rows.
+    /// A tiny smoke run (no timing claims): every case completes and
+    /// records the same number of rows.
     #[test]
     fn all_cases_complete_and_agree_on_rows() {
-        let rows = run_loop_bench(200, 1);
-        assert_eq!(rows.len(), standard_cases().len());
-        for r in &rows {
-            assert_eq!(r.revolutions, rows[0].revolutions, "{}", r.label);
-            assert!(r.revs_per_sec > 0.0);
-        }
+        let s = bench_scenario(200);
+        let rows: Vec<u64> = standard_cases()
+            .into_iter()
+            .map(|c| case_run(&s, c).0)
+            .collect();
+        assert!(rows.iter().all(|&r| r == rows[0] && r > 0), "{rows:?}");
     }
 }

@@ -14,15 +14,13 @@
 //!   `loop_bench`'s `reftrack_batched` case measures — so the kernel's effect
 //!   on end-to-end revolutions/s is on record next to the raw numbers.
 //!
-//! The `bench_reftrack` binary prints the table and writes
-//! `results/BENCH_reftrack.json`; the release-only `reftrack_guard` test pins
-//! the polynomial kernel at ≥ [`KERNEL_BOUND`]x host libm in the same
-//! process, the box-independent form of the "3x the recorded
-//! `reftrack_batched` baseline" acceptance bar.
+//! The `bench_reftrack` binary and the release-only `reftrack_guard` test
+//! both measure through [`measure`](crate::measure) and write
+//! `target/bench/BENCH_reftrack.json`; the guard pins the `Auto` kernel at
+//! ≥ [`KERNEL_BOUND`]x host libm in the same process, the box-independent
+//! form of the "3x the recorded `reftrack_batched` baseline" acceptance bar.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
 use cil_core::harness::LoopHarness;
 use cil_core::scenario::MdeScenario;
@@ -35,10 +33,11 @@ use cil_reftrack::kernel::KernelBackend;
 use cil_reftrack::tracker::{MultiParticleTracker, TrackerConfig};
 
 use crate::loop_bench::{bench_scenario, REFTRACK_PARTICLES};
+use crate::measure::{oversubscribed, paired, samples, timed, write_bench, Json, Paired, Spread};
 
-/// Release guard bound: the polynomial kernel (best measured backend at the
-/// largest ensemble — see [`guard_ratios`]) must beat the host-libm backend
-/// by at least this factor on the kernel-dominated large-ensemble case.
+/// Release guard bound: the `Auto` kernel (the widest polynomial backend
+/// the host has) must beat the host-libm backend by at least this factor
+/// on the kernel-dominated large-ensemble case.
 pub const KERNEL_BOUND: f64 = 3.0;
 
 /// Release guard bound for the full closed loop: the batched `RefTrackEngine`
@@ -128,199 +127,186 @@ pub fn standard_cases() -> Vec<ReftrackCase> {
 /// One measured configuration.
 #[derive(Debug, Clone)]
 pub struct ReftrackBenchRow {
-    /// Stable case id.
-    pub label: String,
-    /// Macro particles tracked.
-    pub particles: usize,
-    /// Worker threads.
-    pub threads: usize,
+    /// The case measured.
+    pub case: ReftrackCase,
     /// Turns per run (tracker cases) or harness revolutions (engine cases).
     pub turns: u64,
-    /// Best-of-runs wall clock, seconds.
-    pub wall_s: f64,
-    /// `particles * turns / wall_s`.
-    pub particle_turns_per_sec: f64,
-    /// `1e9 * wall_s / (particles * turns)`.
-    pub ns_per_particle_turn: f64,
+    /// Particle-turns per second over the case's samples.
+    pub particle_turns_per_sec: Spread,
 }
 
-fn row(case: &ReftrackCase, turns: u64, wall_s: f64) -> ReftrackBenchRow {
-    let pt = case.particles as f64 * turns as f64;
-    ReftrackBenchRow {
-        label: case.label.clone(),
-        particles: case.particles,
-        threads: case.threads,
-        turns,
-        wall_s,
-        particle_turns_per_sec: pt / wall_s,
-        ns_per_particle_turn: 1e9 * wall_s / pt,
+impl ReftrackBenchRow {
+    /// `1e9 / particle_turns_per_sec`, at the median.
+    pub fn ns_per_particle_turn(&self) -> f64 {
+        1e9 / self.particle_turns_per_sec.median
     }
 }
 
-fn measure_tracker_once(
-    op: &OperatingPoint,
-    ensembles: &[(usize, Ensemble)],
-    case: &ReftrackCase,
-) -> (u64, f64) {
-    let ensemble = &ensembles
-        .iter()
-        .find(|(n, _)| *n == case.particles)
-        .expect("ensemble pre-built for every matrix size")
-        .1;
-    let turns = (PARTICLE_TURNS_PER_CASE / case.particles as u64).max(1);
-    let mut tr = MultiParticleTracker::new(
-        *op,
-        ensemble.clone(),
-        TrackerConfig {
-            threads: case.threads,
-            min_chunk: if case.threads > 1 { 4096 } else { 1 << 30 },
+/// The standing RefTrack benchmark: the case matrix and the guard's two
+/// paired ratios.
+#[derive(Debug, Clone)]
+pub struct ReftrackBench {
+    /// Harness revolutions of the engine cases.
+    pub engine_revolutions: u64,
+    /// One row per [`standard_cases`] entry.
+    pub rows: Vec<ReftrackBenchRow>,
+    /// `Auto` over libm on the largest sequential ensemble.
+    pub kernel: Paired,
+    /// `engine_auto` over `engine_libm` on the closed loop.
+    pub engine: Paired,
+}
+
+/// What a case runs on: the bench operating point, one matched ensemble
+/// per [`PARTICLE_SIZES`] entry, and the engine cases' scenario.
+struct ReftrackSetup {
+    op: OperatingPoint,
+    ensembles: Vec<(usize, Ensemble)>,
+    scenario: MdeScenario,
+}
+
+impl ReftrackSetup {
+    /// Build the ensembles and the `engine_revolutions`-turn scenario.
+    fn new(engine_revolutions: u64) -> Self {
+        let op = bench_op();
+        let ensembles = PARTICLE_SIZES
+            .iter()
+            .map(|&n| {
+                (
+                    n,
+                    Ensemble::matched(&BunchSpec::gaussian(15e-9), n, &op, 7)
+                        .expect("matched ensemble at the bench operating point"),
+                )
+            })
+            .collect();
+        Self {
+            op,
+            ensembles,
+            scenario: bench_scenario(engine_revolutions),
+        }
+    }
+
+    /// One run of `case`: turns (tracker cases) or harness revolutions
+    /// (engine cases), and the seconds they took.
+    fn run(&self, case: &ReftrackCase) -> (u64, f64) {
+        if case.engine {
+            self.engine_run(case)
+        } else {
+            self.tracker_run(case)
+        }
+    }
+
+    fn tracker_run(&self, case: &ReftrackCase) -> (u64, f64) {
+        let ensemble = &self
+            .ensembles
+            .iter()
+            .find(|(n, _)| *n == case.particles)
+            .expect("ensemble pre-built for every matrix size")
+            .1;
+        let turns = (PARTICLE_TURNS_PER_CASE / case.particles as u64).max(1);
+        let mut tr = MultiParticleTracker::new(
+            self.op,
+            ensemble.clone(),
+            TrackerConfig {
+                threads: case.threads,
+                min_chunk: if case.threads > 1 { 4096 } else { 1 << 30 },
+                backend: case.backend,
+            },
+        );
+        let ((), secs) = timed(|| {
+            for _ in 0..turns {
+                tr.step(0.0);
+            }
+        });
+        std::hint::black_box(tr.ensemble.dt[0]);
+        (turns, secs)
+    }
+
+    fn engine_run(&self, case: &ReftrackCase) -> (u64, f64) {
+        let s = &self.scenario;
+        let mut engine =
+            cil_core::engine::RefTrackEngine::from_scenario(s, case.particles, 0x5EED, 15e-9, 0.0)
+                .expect("reftrack engine builds");
+        engine.set_tracker_config(TrackerConfig {
             backend: case.backend,
-        },
-    );
-    let t0 = Instant::now();
-    for _ in 0..turns {
-        tr.step(0.0);
+            ..TrackerConfig::default()
+        });
+        let mut harness = LoopHarness::for_scenario(s, true);
+        let (trace, secs) = timed(|| harness.run(&mut engine, s.duration_s));
+        assert!(
+            trace.outcome.survived(),
+            "{}: beam lost mid-bench",
+            case.label
+        );
+        (trace.times.len() as u64, secs)
     }
-    std::hint::black_box(tr.ensemble.dt[0]);
-    (turns, t0.elapsed().as_secs_f64())
 }
 
-fn measure_engine_once(s: &MdeScenario, case: &ReftrackCase) -> (u64, f64) {
-    let mut engine =
-        cil_core::engine::RefTrackEngine::from_scenario(s, case.particles, 0x5EED, 15e-9, 0.0)
-            .expect("reftrack engine builds");
-    engine.set_tracker_config(TrackerConfig {
-        backend: case.backend,
-        ..TrackerConfig::default()
-    });
-    let mut harness = LoopHarness::for_scenario(s, true);
-    let t0 = Instant::now();
-    let trace = harness.run(&mut engine, s.duration_s);
-    let dt = t0.elapsed().as_secs_f64();
-    assert!(
-        trace.outcome.survived(),
-        "{}: beam lost mid-bench",
-        case.label
-    );
-    (trace.times.len() as u64, dt)
-}
-
-/// Run the full matrix. Measurement is interleaved: `runs` complete passes
-/// over the whole case list, per-case best across passes — so a transient
-/// slow window on a shared box (scheduler preemption, frequency dips)
-/// degrades one pass of every case instead of every run of one case, and
-/// the per-case best still comes from a clean pass. The first pass is
-/// preceded by one untimed warmup run of the first case (pages in code,
-/// settles the allocator).
-pub fn run_reftrack_bench(engine_revolutions: u64, runs: usize) -> Vec<ReftrackBenchRow> {
-    let op = bench_op();
-    let ensembles: Vec<(usize, Ensemble)> = PARTICLE_SIZES
+/// Run the full matrix, `samples_per_case` samples each, and the guard's
+/// two paired ratios.
+pub fn run_reftrack_bench(engine_revolutions: u64, samples_per_case: usize) -> ReftrackBench {
+    let setup = ReftrackSetup::new(engine_revolutions);
+    let cases = standard_cases();
+    let rows = cases
         .iter()
-        .map(|&n| {
-            (
-                n,
-                Ensemble::matched(&BunchSpec::gaussian(15e-9), n, &op, 7)
-                    .expect("matched ensemble at the bench operating point"),
-            )
+        .map(|c| {
+            let turns = setup.run(c).0;
+            let work = c.particles as f64 * turns as f64;
+            ReftrackBenchRow {
+                case: c.clone(),
+                turns,
+                particle_turns_per_sec: samples(samples_per_case, work, || setup.run(c).1),
+            }
         })
         .collect();
-    let s = bench_scenario(engine_revolutions);
-    let cases = standard_cases();
-    let _ = measure_tracker_once(&op, &ensembles, &cases[0]);
-    let mut best: Vec<(u64, f64)> = vec![(0, f64::INFINITY); cases.len()];
-    for _ in 0..runs.max(1) {
-        for (case, slot) in cases.iter().zip(best.iter_mut()) {
-            let (turns, wall_s) = if case.engine {
-                measure_engine_once(&s, case)
-            } else {
-                measure_tracker_once(&op, &ensembles, case)
-            };
-            slot.0 = turns;
-            slot.1 = slot.1.min(wall_s);
-        }
-    }
-    cases
-        .iter()
-        .zip(best)
-        .map(|(c, (turns, wall_s))| row(c, turns, wall_s))
-        .collect()
-}
-
-/// Throughput ratio between two measured cases (`num` over `den`).
-pub fn speedup(rows: &[ReftrackBenchRow], num: &str, den: &str) -> f64 {
-    let find = |label: &str| {
-        rows.iter()
-            .find(|r| r.label == label)
+    let find = |label: String| {
+        cases
+            .iter()
+            .find(|c| c.label == label)
             .unwrap_or_else(|| panic!("no case {label}"))
-            .particle_turns_per_sec
     };
-    find(num) / find(den)
-}
-
-/// The two guard ratios: (best polynomial backend vs libm on the
-/// kernel-dominated large sequential cases, `engine_auto` vs `engine_libm`
-/// on the closed loop). The kernel ratio takes the best measured polynomial
-/// row — `Auto` resolves to the widest backend, so its row and the explicit
-/// widest-backend row measure the same code; using the max keeps one noisy
-/// sample on a shared box from masking the kernel's real speedup.
-pub fn guard_ratios(rows: &[ReftrackBenchRow]) -> (f64, f64) {
     let n = *PARTICLE_SIZES.last().unwrap();
-    let suffix = format!("_n{n}");
-    let libm = format!("libm{suffix}");
-    let best_poly = rows
-        .iter()
-        .filter(|r| r.label.ends_with(&suffix) && r.label != libm && r.threads == 1)
-        .map(|r| r.particle_turns_per_sec)
-        .fold(0.0f64, f64::max);
-    let libm_rate = rows
-        .iter()
-        .find(|r| r.label == libm)
-        .unwrap_or_else(|| panic!("no case {libm}"))
-        .particle_turns_per_sec;
-    (
-        best_poly / libm_rate,
-        speedup(rows, "engine_auto", "engine_libm"),
-    )
+    let (auto, libm) = (find(format!("auto_n{n}")), find(format!("libm_n{n}")));
+    let (engine_auto, engine_libm) = (find("engine_auto".into()), find("engine_libm".into()));
+    let setup = &setup;
+    let run = |c| move || setup.run(c).1;
+    ReftrackBench {
+        engine_revolutions,
+        rows,
+        kernel: paired(run(auto), run(libm)),
+        engine: paired(run(engine_auto), run(engine_libm)),
+    }
 }
 
-/// Write `results/BENCH_reftrack.json` (repo-root `results/`, independent of
-/// the working directory); returns the path written.
-pub fn write_bench_json(runs: usize, rows: &[ReftrackBenchRow]) -> PathBuf {
-    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut cases = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            cases.push(',');
-        }
-        write!(
-            cases,
-            "{{\"label\":\"{}\",\"particles\":{},\"threads\":{},\"turns\":{},\"wall_s\":{},\
-             \"particle_turns_per_sec\":{},\"ns_per_particle_turn\":{}}}",
-            r.label,
-            r.particles,
-            r.threads,
-            r.turns,
-            r.wall_s,
-            r.particle_turns_per_sec,
-            r.ns_per_particle_turn
+impl ReftrackBench {
+    /// Write `target/bench/BENCH_reftrack.json`; returns the path written.
+    pub fn write(&self) -> PathBuf {
+        let cases = self
+            .rows
+            .iter()
+            .map(|r| {
+                Json::obj(vec![
+                    ("label", r.case.label.as_str().into()),
+                    ("particles", r.case.particles.into()),
+                    ("threads", r.case.threads.into()),
+                    ("oversubscribed", oversubscribed(r.case.threads).into()),
+                    ("turns", r.turns.into()),
+                    ("particle_turns_per_sec", r.particle_turns_per_sec.json()),
+                    ("ns_per_particle_turn", r.ns_per_particle_turn().into()),
+                ])
+            })
+            .collect::<Vec<_>>();
+        write_bench(
+            "reftrack",
+            vec![
+                ("engine_revolutions", self.engine_revolutions.into()),
+                ("cases", cases.into()),
+                ("auto_vs_libm_large", self.kernel.json()),
+                ("engine_auto_vs_libm", self.engine.json()),
+                ("kernel_bound", KERNEL_BOUND.into()),
+                ("engine_bound", ENGINE_BOUND.into()),
+            ],
         )
-        .unwrap();
     }
-    let (kernel_ratio, engine_ratio) = guard_ratios(rows);
-    let path = dir.join("BENCH_reftrack.json");
-    std::fs::write(
-        &path,
-        format!(
-            "{{\"bench\":\"reftrack_kernel\",\"runs\":{runs},\
-             \"cases\":[{cases}],\
-             \"speedup_poly_vs_libm_large\":{kernel_ratio},\
-             \"speedup_engine_auto_vs_libm\":{engine_ratio},\
-             \"kernel_bound\":{KERNEL_BOUND},\"engine_bound\":{ENGINE_BOUND}}}\n"
-        ),
-    )
-    .unwrap();
-    path
 }
 
 #[cfg(test)]
@@ -354,18 +340,14 @@ mod tests {
         }
     }
 
-    /// Tiny smoke run (debug build, so no timing claims): every case
-    /// completes, ratios are finite and positive.
+    /// Tiny smoke run (no timing claims): every case completes and does
+    /// work.
     #[test]
     fn all_cases_complete() {
-        let rows = run_reftrack_bench(50, 1);
-        assert_eq!(rows.len(), standard_cases().len());
-        for r in &rows {
-            assert!(r.particle_turns_per_sec > 0.0, "{}", r.label);
-            assert!(r.ns_per_particle_turn > 0.0, "{}", r.label);
+        let setup = ReftrackSetup::new(50);
+        for c in &standard_cases() {
+            let (turns, secs) = setup.run(c);
+            assert!(turns > 0 && secs > 0.0, "{}", c.label);
         }
-        let (k, e) = guard_ratios(&rows);
-        assert!(k.is_finite() && k > 0.0);
-        assert!(e.is_finite() && e > 0.0);
     }
 }

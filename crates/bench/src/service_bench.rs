@@ -6,19 +6,27 @@
 //! the run queues see the hot/cold mix a real fleet produces — across a
 //! sweep of worker counts, against the single-loop `map_batched` rate
 //! from [`loop_bench`](crate::loop_bench) as the per-core baseline. The
-//! `bench_service` binary prints the table and writes
-//! `results/BENCH_service.json`; the release-only `service_guard` test
-//! pins the 1k-session aggregate at ≥0.5x the per-core baseline (and the
-//! 1→8 worker scaling at ≥2.5x on machines with ≥8 cores) so mux overhead
-//! cannot silently regress.
+//! `bench_service` binary and the release-only `service_guard` test both
+//! measure through [`measure`](crate::measure) and write
+//! `target/bench/BENCH_service.json`; the guard pins the 1k-session
+//! aggregate at ≥ [`BASELINE_BOUND`]x the per-core baseline (and the 1→8
+//! worker scaling at ≥ [`SCALING_BOUND`]x on machines with ≥8 cores) so
+//! mux overhead cannot silently regress.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
-use crate::loop_bench::{bench_scenario, measure_case, standard_cases};
+use crate::loop_bench::{bench_scenario, case, case_run};
+use crate::measure::{oversubscribed, paired, samples, timed, write_bench, Json, Paired, Spread};
 use cil_core::hil::EngineKind;
 use cil_core::{MuxConfig, SessionMux, SessionSpec};
+
+/// Guard bound: the 1-worker fleet aggregate over the single-loop
+/// `map_batched` rate.
+pub const BASELINE_BOUND: f64 = 0.5;
+
+/// Guard bound: 8-worker over 1-worker aggregate, checked only where 8
+/// workers do not outnumber the cores.
+pub const SCALING_BOUND: f64 = 2.5;
 
 /// Dispatch-latency histogram the mux exports (p99 is read from it).
 pub const DISPATCH_HISTOGRAM: &str = "cil_mux_dispatch_latency_wall_seconds";
@@ -39,12 +47,27 @@ pub struct ServiceBenchRow {
     pub sessions: usize,
     /// Trace rows produced across the whole fleet.
     pub total_rows: u64,
-    /// Wall clock from first create to last join, seconds.
-    pub wall_s: f64,
-    /// `total_rows / wall_s` — the aggregate fleet throughput.
-    pub revs_per_sec: f64,
-    /// p99 queue→worker dispatch latency, seconds.
+    /// Aggregate fleet throughput, rows per second, over the samples.
+    pub revs_per_sec: Spread,
+    /// p99 queue→worker dispatch latency of the last fleet run, seconds.
     pub p99_dispatch_s: f64,
+}
+
+/// The standing service benchmark.
+#[derive(Debug, Clone)]
+pub struct ServiceBench {
+    /// Rows of a hot session.
+    pub hot_revolutions: u64,
+    /// Trace rows of the single-loop baseline run.
+    pub baseline_rows: u64,
+    /// One row per worker count.
+    pub rows: Vec<ServiceBenchRow>,
+    /// The 1-worker fleet aggregate over the single-loop `map_batched`
+    /// rate (`a` and `b` in seconds per run).
+    pub vs_baseline: Paired,
+    /// 8-worker over 1-worker aggregate; `None` when 8 workers would
+    /// outnumber the cores or either count is not in the sweep.
+    pub scaling: Option<Paired>,
 }
 
 /// The skewed fleet: session `i` runs `hot_revolutions` rows when
@@ -59,140 +82,129 @@ fn session_rows(i: usize, hot_revolutions: u64) -> u64 {
 
 /// Run one fleet on one (fresh) mux and measure it end to end. Sessions
 /// are created and armed in one burst (the worst case for the run
-/// queues), then joined in creation order.
-fn measure_fleet_once(workers: usize, sessions: usize, hot_revolutions: u64) -> ServiceBenchRow {
+/// queues), then joined in creation order. Returns the fleet's trace rows,
+/// the seconds they took, and the p99 dispatch latency in seconds.
+fn fleet_run(workers: usize, sessions: usize, hot_revolutions: u64) -> (u64, f64, f64) {
     let mux = SessionMux::new(MuxConfig {
         workers,
         ..MuxConfig::default()
     })
     .expect("mux config is valid");
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..sessions)
-        .map(|i| {
-            let s = bench_scenario(session_rows(i, hot_revolutions));
-            let h = mux
-                .create(SessionSpec::new(s, EngineKind::Map))
-                .expect("session creates");
-            h.run_to_end().expect("session arms");
-            h
-        })
-        .collect();
-    let mut total_rows = 0u64;
-    for h in &handles {
-        let trace = h.join().expect("session joins");
-        assert!(trace.outcome.survived(), "beam lost mid-bench");
-        total_rows += trace.times.len() as u64;
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
+    let (total_rows, secs) = timed(|| {
+        let handles: Vec<_> = (0..sessions)
+            .map(|i| {
+                let s = bench_scenario(session_rows(i, hot_revolutions));
+                let h = mux
+                    .create(SessionSpec::new(s, EngineKind::Map))
+                    .expect("session creates");
+                h.run_to_end().expect("session arms");
+                h
+            })
+            .collect();
+        let mut total_rows = 0u64;
+        for h in &handles {
+            let trace = h.join().expect("session joins");
+            assert!(trace.outcome.survived(), "beam lost mid-bench");
+            total_rows += trace.times.len() as u64;
+        }
+        total_rows
+    });
     let p99_dispatch_s = mux
         .telemetry()
         .snapshot()
         .histogram(DISPATCH_HISTOGRAM)
         .and_then(|h| h.quantile(0.99))
         .unwrap_or(0.0);
-    ServiceBenchRow {
-        workers,
-        sessions,
-        total_rows,
-        wall_s,
-        revs_per_sec: total_rows as f64 / wall_s,
-        p99_dispatch_s,
-    }
+    (total_rows, secs, p99_dispatch_s)
 }
 
-/// Best-of-`runs` fleet measurement (each run on a fresh mux) — the same
-/// quiet-machine convention [`measure_case`] uses for the single-loop
-/// baseline, so the guard's ratio compares two best-of numbers instead of
-/// one noisy sample against one best.
-pub fn measure_fleet(
-    workers: usize,
-    sessions: usize,
-    hot_revolutions: u64,
-    runs: usize,
-) -> ServiceBenchRow {
-    let mut best: Option<ServiceBenchRow> = None;
-    for _ in 0..runs.max(1) {
-        let row = measure_fleet_once(workers, sessions, hot_revolutions);
-        if best.as_ref().is_none_or(|b| row.wall_s < b.wall_s) {
-            best = Some(row);
-        }
-    }
-    best.expect("at least one run")
-}
-
-/// The single-loop `map_batched` rate (revolutions per second) from the
-/// loop benchmark — the per-core baseline the fleet is scored against.
-pub fn baseline_map_rate(revolutions: u64, runs: usize) -> f64 {
-    let s = bench_scenario(revolutions);
-    let case = standard_cases()
-        .into_iter()
-        .find(|c| c.label == "map_batched")
-        .expect("map_batched case exists");
-    measure_case(&s, case, runs).revs_per_sec
-}
-
-/// Run the worker-count sweep (first count doubles as warmup: one untimed
-/// small fleet pages in code and fills the kernel cache).
+/// Run the worker-count sweep (`samples_per_count` samples each, every
+/// fleet run on a fresh mux) and the guard's paired ratios against the
+/// single-loop `map_batched` rate over `baseline_revolutions`.
 pub fn run_service_bench(
     worker_counts: &[usize],
     sessions: usize,
     hot_revolutions: u64,
-    runs: usize,
-) -> Vec<ServiceBenchRow> {
-    let _ = measure_fleet_once(worker_counts[0], HOT_EVERY, hot_revolutions.min(512));
-    worker_counts
+    baseline_revolutions: u64,
+    samples_per_count: usize,
+) -> ServiceBench {
+    let rows = worker_counts
         .iter()
-        .map(|&w| measure_fleet(w, sessions, hot_revolutions, runs))
-        .collect()
-}
-
-/// Aggregate-throughput ratio between two measured worker counts.
-pub fn scaling(rows: &[ServiceBenchRow], num_workers: usize, den_workers: usize) -> f64 {
-    let find = |w: usize| {
-        rows.iter()
-            .find(|r| r.workers == w)
-            .unwrap_or_else(|| panic!("no row for {w} workers"))
-            .revs_per_sec
-    };
-    find(num_workers) / find(den_workers)
-}
-
-/// Write `results/BENCH_service.json` (repo-root `results/`, independent
-/// of the working directory); returns the path written.
-pub fn write_service_json(
-    hot_revolutions: u64,
-    rows: &[ServiceBenchRow],
-    baseline_revs_per_sec: f64,
-    bound: f64,
-) -> PathBuf {
-    let dir = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results"));
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut cases = String::new();
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            cases.push(',');
-        }
-        write!(
-            cases,
-            "{{\"workers\":{},\"sessions\":{},\"total_rows\":{},\"wall_s\":{},\
-             \"revs_per_sec\":{},\"p99_dispatch_s\":{}}}",
-            r.workers, r.sessions, r.total_rows, r.wall_s, r.revs_per_sec, r.p99_dispatch_s
-        )
-        .unwrap();
+        .map(|&workers| {
+            let (total_rows, _, mut p99_dispatch_s) = fleet_run(workers, sessions, hot_revolutions);
+            let revs_per_sec = samples(samples_per_count, total_rows as f64, || {
+                let (_, secs, p99) = fleet_run(workers, sessions, hot_revolutions);
+                p99_dispatch_s = p99;
+                secs
+            });
+            ServiceBenchRow {
+                workers,
+                sessions,
+                total_rows,
+                revs_per_sec,
+                p99_dispatch_s,
+            }
+        })
+        .collect::<Vec<_>>();
+    let baseline = bench_scenario(baseline_revolutions);
+    let map = case("map_batched");
+    let baseline_rows = case_run(&baseline, map).0;
+    let fleet = |workers| move || fleet_run(workers, sessions, hot_revolutions).1;
+    let mut vs_baseline = paired(fleet(1), || case_run(&baseline, map).1);
+    // Seconds per run over seconds per run; the two runs differ in rows.
+    let rows_ratio = rows[0].total_rows as f64 / baseline_rows as f64;
+    vs_baseline.ratio = vs_baseline.ratio.scaled(rows_ratio);
+    let scaling = [1, 8].iter().all(|w| worker_counts.contains(w)) && !oversubscribed(8);
+    ServiceBench {
+        hot_revolutions,
+        baseline_rows,
+        rows,
+        vs_baseline,
+        scaling: scaling.then(|| paired(fleet(8), fleet(1))),
     }
-    let path = dir.join("BENCH_service.json");
-    std::fs::write(
-        &path,
-        format!(
-            "{{\"bench\":\"session_mux_service\",\"hot_revolutions\":{hot_revolutions},\
-             \"hot_every\":{HOT_EVERY},\"cold_fraction\":{COLD_FRACTION},\
-             \"baseline_map_batched_revs_per_sec\":{baseline_revs_per_sec},\
-             \"cases\":[{cases}],\
-             \"bound_vs_baseline\":{bound}}}\n"
-        ),
-    )
-    .unwrap();
-    path
+}
+
+impl ServiceBench {
+    /// The single-loop `map_batched` rate, rows per second, at the median.
+    pub fn baseline_revs_per_sec(&self) -> f64 {
+        self.baseline_rows as f64 / self.vs_baseline.b.median
+    }
+
+    /// Write `target/bench/BENCH_service.json`; returns the path written.
+    pub fn write(&self) -> PathBuf {
+        let cases = self
+            .rows
+            .iter()
+            .map(|r| {
+                Json::obj(vec![
+                    ("workers", r.workers.into()),
+                    ("oversubscribed", oversubscribed(r.workers).into()),
+                    ("sessions", r.sessions.into()),
+                    ("total_rows", r.total_rows.into()),
+                    ("revs_per_sec", r.revs_per_sec.json()),
+                    ("p99_dispatch_s", r.p99_dispatch_s.into()),
+                ])
+            })
+            .collect::<Vec<_>>();
+        write_bench(
+            "service",
+            vec![
+                ("hot_revolutions", self.hot_revolutions.into()),
+                ("hot_every", HOT_EVERY.into()),
+                ("cold_fraction", COLD_FRACTION.into()),
+                ("baseline_rows", self.baseline_rows.into()),
+                ("baseline_revs_per_sec", self.baseline_revs_per_sec().into()),
+                ("cases", cases.into()),
+                ("fleet_w1_vs_map_batched", self.vs_baseline.json()),
+                ("bound_vs_baseline", BASELINE_BOUND.into()),
+                ("bound_scaling", SCALING_BOUND.into()),
+                (
+                    "scaling_w8_vs_w1",
+                    self.scaling.map_or_else(Json::null, |p| p.json()),
+                ),
+            ],
+        )
+    }
 }
 
 #[cfg(test)]
@@ -206,35 +218,19 @@ mod tests {
         assert_eq!(rows.iter().filter(|&&r| r == 100).count(), 90);
     }
 
-    #[test]
-    fn scaling_reads_the_named_rows() {
-        let mk = |workers, revs_per_sec| ServiceBenchRow {
-            workers,
-            sessions: 1,
-            total_rows: 1,
-            wall_s: 1.0,
-            revs_per_sec,
-            p99_dispatch_s: 0.0,
-        };
-        let rows = vec![mk(1, 10.0), mk(8, 35.0)];
-        assert!((scaling(&rows, 8, 1) - 3.5).abs() < 1e-12);
-    }
-
-    /// Tiny smoke fleet (debug build, so no timing claims): the mux hosts
+    /// Tiny smoke fleet (no timing claims): the mux hosts
     /// a skewed mix end to end and the dispatch histogram fills.
     #[test]
     fn smoke_fleet_completes_and_measures() {
-        let row = measure_fleet(2, 20, 400, 1);
-        assert_eq!(row.sessions, 20);
+        let (rows, secs, p99_dispatch_s) = fleet_run(2, 20, 400);
         // 2 hot sessions x ~400 rows + 18 cold x ~40 rows (the harness may
         // land a row either side of the scheduled end).
         let expected = 2 * 400 + 18 * 40;
         assert!(
-            (row.total_rows as i64 - expected).abs() <= 20,
-            "total rows {} far from expected {expected}",
-            row.total_rows
+            (rows as i64 - expected).abs() <= 20,
+            "total rows {rows} far from expected {expected}"
         );
-        assert!(row.revs_per_sec > 0.0);
-        assert!(row.p99_dispatch_s > 0.0, "dispatch histogram must fill");
+        assert!(secs > 0.0);
+        assert!(p99_dispatch_s > 0.0, "dispatch histogram must fill");
     }
 }

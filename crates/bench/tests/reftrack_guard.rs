@@ -3,40 +3,36 @@
 //!
 //! The acceptance bar for the kernel PR was "`reftrack_batched` at ≥ 3x the
 //! recorded `BENCH_loop.json` baseline". An absolute revs/s bound is hostage
-//! to whatever box CI lands on, so the guard pins the box-independent form:
-//! measured in the same process on the same ensembles,
+//! to whatever box CI lands on, so the guard pins the box-independent form,
+//! two paired ratios measured in the same process on the same ensembles:
 //!
-//! * the polynomial kernel (best measured backend — `Auto` resolves to the
-//!   widest, so its row measures the same code) must hold ≥ 3x the
-//!   host-libm backend on the kernel-dominated large sequential case, and
+//! * the `Auto` kernel (the widest polynomial backend the host has) must
+//!   hold ≥ 3x the host-libm backend on the kernel-dominated large
+//!   sequential case, and
 //! * the full closed loop (`RefTrackEngine` through the batched harness,
 //!   the exact `reftrack_batched` path) must hold ≥ 1.5x on `Auto` vs libm
 //!   at the standing 256 macro-particle case, where harness bookkeeping
 //!   dilutes the raw kernel ratio.
 //!
 //! Meaningless at opt-level 0, so the test is ignored in debug builds and
-//! run via `--include-ignored` in release (tier1/CI) — the same pattern as
-//! `loop_guard`. Writes `results/BENCH_reftrack.json` as a side effect, so
-//! CI always uploads a fresh artifact.
+//! run via `--include-ignored` in release, like every guard in this
+//! directory. Writes `target/bench/BENCH_reftrack.json`.
 
-use cil_bench::reftrack_bench::{
-    guard_ratios, run_reftrack_bench, write_bench_json, ENGINE_BOUND, KERNEL_BOUND,
-};
+use cil_bench::reftrack_bench::{run_reftrack_bench, ENGINE_BOUND, KERNEL_BOUND};
 
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn poly_kernel_beats_libm_reference() {
-    let rows = run_reftrack_bench(5_000, 3);
-    let (kernel_ratio, engine_ratio) = guard_ratios(&rows);
-    write_bench_json(3, &rows);
+    let bench = run_reftrack_bench(5_000, 3);
+    bench.write();
+    let (kernel, engine, rows) = (bench.kernel.ratio, bench.engine.ratio, &bench.rows);
     assert!(
-        kernel_ratio >= KERNEL_BOUND,
-        "polynomial kernel only {kernel_ratio:.2}x host libm \
-         (bound {KERNEL_BOUND}x): {rows:#?}"
+        kernel.median >= KERNEL_BOUND,
+        "Auto kernel only {kernel}x host libm (bound {KERNEL_BOUND}x): {rows:#?}"
     );
     assert!(
-        engine_ratio >= ENGINE_BOUND,
-        "closed-loop RefTrack engine on Auto only {engine_ratio:.2}x libm \
+        engine.median >= ENGINE_BOUND,
+        "closed-loop RefTrack engine on Auto only {engine}x libm \
          (bound {ENGINE_BOUND}x): {rows:#?}"
     );
 }

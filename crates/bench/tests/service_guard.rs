@@ -6,33 +6,28 @@
 //! the aggregate fleet rate stays at ≥0.5x the single-loop `map_batched`
 //! baseline even on one worker, slicing, arena checkout and queue
 //! traffic included. On machines with ≥8 cores the 1→8 worker scaling
-//! must additionally reach ≥2.5x. Meaningless at opt-level 0, so the
-//! test is ignored in debug builds and run via `--include-ignored` in
-//! release (tier1/CI) — the same pattern as the loop and checkpoint
-//! guards. Writes `results/BENCH_service.json` as a side effect, so CI
-//! always uploads a fresh artifact.
+//! must additionally reach ≥2.5x. Both are paired ratios from
+//! `cil_bench::measure`. Meaningless at opt-level 0, so the test is
+//! ignored in debug builds and run via `--include-ignored` in release,
+//! like every guard in this directory. Writes
+//! `target/bench/BENCH_service.json`.
 
-use cil_bench::service_bench::{baseline_map_rate, run_service_bench, scaling, write_service_json};
+use cil_bench::service_bench::{run_service_bench, BASELINE_BOUND, SCALING_BOUND};
 
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn fleet_aggregate_holds_half_the_single_loop_rate() {
-    let sessions = 1000;
-    let hot_revolutions = 2000;
-    // A long, best-of-3 baseline: at 2k revolutions the measurement is
-    // ~0.2 ms and machine noise dominates the guard's ratio.
-    let baseline = baseline_map_rate(200_000, 3);
-    let rows = run_service_bench(&[1, 2, 4, 8], sessions, hot_revolutions, 3);
-    write_service_json(hot_revolutions, &rows, baseline, 0.5);
-
-    let single = rows.iter().find(|r| r.workers == 1).expect("1-worker row");
-    let ratio = single.revs_per_sec / baseline;
+    // A long baseline: at 2k revolutions one run is ~0.2 ms.
+    let bench = run_service_bench(&[1, 2, 4, 8], 1000, 2000, 200_000, 3);
+    bench.write();
+    let rows = &bench.rows;
+    let ratio = bench.vs_baseline.ratio;
     assert!(
-        ratio >= 0.5,
-        "1-worker fleet aggregate only {ratio:.2}x the single-loop map_batched rate \
-         (bound 0.5x): {rows:#?}"
+        ratio.median >= BASELINE_BOUND,
+        "1-worker fleet aggregate only {ratio}x the single-loop map_batched rate \
+         (bound {BASELINE_BOUND}x): {rows:#?}"
     );
-    for r in &rows {
+    for r in rows {
         assert!(
             r.p99_dispatch_s.is_finite() && r.p99_dispatch_s > 0.0,
             "{} workers: dispatch-latency histogram must fill",
@@ -43,15 +38,15 @@ fn fleet_aggregate_holds_half_the_single_loop_rate() {
     // The scaling half of the claim needs real cores behind the workers;
     // oversubscribed threads on a small box would measure the scheduler,
     // not the mux.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 8 {
-        let s = scaling(&rows, 8, 1);
-        assert!(
-            s >= 2.5,
-            "1 -> 8 worker scaling only {s:.2}x on a {cores}-core machine \
-             (bound 2.5x): {rows:#?}"
-        );
-    } else {
-        eprintln!("skipping the 8-worker scaling bound: only {cores} cores available");
+    match bench.scaling {
+        Some(scaling) => assert!(
+            scaling.ratio.median >= SCALING_BOUND,
+            "1 -> 8 worker scaling only {}x (bound {SCALING_BOUND}x): {rows:#?}",
+            scaling.ratio
+        ),
+        None => eprintln!(
+            "skipping the 8-worker scaling bound: only {} cores available",
+            cil_bench::measure::cores()
+        ),
     }
 }

@@ -183,19 +183,10 @@ impl CgraExecutor {
     /// become visible to the *next* iteration. `inputs[i]` feeds
     /// `OpKind::Input(i)`. Returns the values written to `Output` ports.
     ///
-    /// Panicking wrapper around [`Self::try_run_iteration`] for callers that
-    /// treat executor faults as unrecoverable (tests, exploratory tools).
-    pub fn run_iteration<B: SensorBus>(&mut self, bus: &mut B, inputs: &[f64]) -> Vec<(u16, f64)> {
-        match self.try_run_iteration(bus, inputs) {
-            Ok(outputs) => outputs,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible variant of [`Self::run_iteration`]: executor faults come
-    /// back as [`ExecError`] with all register state untouched by the failed
-    /// iteration (writes only commit on success), so a supervisor can
-    /// degrade gracefully instead of unwinding through the loop.
+    /// Executor faults come back as [`ExecError`] with all register state
+    /// untouched by the failed iteration (writes only commit on success), so
+    /// a supervisor can degrade gracefully instead of unwinding through the
+    /// loop.
     ///
     /// Thin allocating wrapper over [`Self::try_run_iteration_into`].
     pub fn try_run_iteration<B: SensorBus>(
@@ -255,14 +246,7 @@ impl CgraExecutor {
     /// phase (Section IV-B): run one iteration to fill the bridges, then
     /// restore the architectural state registers to their initial values.
     ///
-    /// Panicking wrapper around [`Self::try_warmup`].
-    pub fn warmup<B: SensorBus>(&mut self, bus: &mut B, inputs: &[f64], restore: &[(u16, f64)]) {
-        if let Err(e) = self.try_warmup(bus, inputs, restore) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible warm-up: a malformed kernel surfaces as [`ExecError`] (with
+    /// A malformed kernel surfaces as [`ExecError`] (with
     /// registers rolled back and the iteration counter untouched) instead
     /// of aborting, so the HIL supervisor can degrade the engine fidelity
     /// gracefully.
@@ -432,7 +416,7 @@ mod tests {
         let mut ex = executor();
         let mut bus = MapBus::default();
         bus.set_sensor(0, 9.0);
-        let out = ex.run_iteration(&mut bus, &[]);
+        let out = ex.try_run_iteration(&mut bus, &[]).unwrap();
         // sqrt(9)*2 = 6; accumulator = 6.
         assert_eq!(out, vec![(0, 6.0)]);
         assert_eq!(bus.writes, vec![(0, 6.0)]);
@@ -444,7 +428,7 @@ mod tests {
         let mut bus = MapBus::default();
         bus.set_sensor(0, 4.0);
         for expected in [4.0, 8.0, 12.0] {
-            let out = ex.run_iteration(&mut bus, &[]);
+            let out = ex.try_run_iteration(&mut bus, &[]).unwrap();
             assert_eq!(out[0].1, expected, "accumulator grows by 4 per turn");
         }
         assert_eq!(ex.iterations(), 3);
@@ -456,7 +440,7 @@ mod tests {
         ex.set_reg(0, 100.0);
         let mut bus = MapBus::default();
         bus.set_sensor(0, 1.0);
-        let out = ex.run_iteration(&mut bus, &[]);
+        let out = ex.try_run_iteration(&mut bus, &[]).unwrap();
         assert_eq!(out[0].1, 102.0);
     }
 
@@ -474,7 +458,7 @@ mod tests {
             let sensor_val = (i as f64 + 1.0) * 1.7;
             bus_a.set_sensor(0, sensor_val);
             bus_b.set_sensor(0, sensor_val);
-            let out_a = ex.run_iteration(&mut bus_a, &[]);
+            let out_a = ex.try_run_iteration(&mut bus_a, &[]).unwrap();
             let out_b = interpret_dfg(&g, &mut regs, &mut bus_b, &[]);
             assert_eq!(out_a, out_b, "iteration {i}");
             assert_eq!(bus_a.writes, bus_b.writes);
@@ -504,7 +488,9 @@ mod tests {
         g.add(OpKind::Output(0), &[s]);
         let sch = ListScheduler::new(GridConfig::mesh_3x3()).schedule(&g);
         let mut ex = CgraExecutor::new(g, sch);
-        let out = ex.run_iteration(&mut MapBus::default(), &[3.0, 4.0]);
+        let out = ex
+            .try_run_iteration(&mut MapBus::default(), &[3.0, 4.0])
+            .unwrap();
         assert_eq!(out, vec![(0, 7.0)]);
     }
 
@@ -518,14 +504,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "missing input port")]
-    fn missing_input_panics() {
+    fn missing_input_is_a_typed_error() {
         let mut g = Dfg::new();
         let a = g.add(OpKind::Input(0), &[]);
         g.add(OpKind::Output(0), &[a]);
         let sch = ListScheduler::new(GridConfig::mesh_3x3()).schedule(&g);
         let mut ex = CgraExecutor::new(g, sch);
-        ex.run_iteration(&mut MapBus::default(), &[]);
+        let err = ex
+            .try_run_iteration(&mut MapBus::default(), &[])
+            .unwrap_err();
+        assert_eq!(err, ExecError::MissingInput(0));
+        assert!(err.to_string().contains("missing input port"), "{err}");
     }
 
     #[test]
@@ -571,9 +560,9 @@ mod tests {
         let mut ex = executor();
         let mut bus = MapBus::default();
         bus.set_sensor(0, 4.0);
-        ex.run_iteration(&mut bus, &[]);
+        ex.try_run_iteration(&mut bus, &[]).unwrap();
         ex.reset();
-        let out = ex.run_iteration(&mut bus, &[]);
+        let out = ex.try_run_iteration(&mut bus, &[]).unwrap();
         assert_eq!(out, vec![(0, 4.0)], "reset executor behaves like fresh");
         assert_eq!(ex.iterations(), 1);
     }

@@ -503,7 +503,7 @@ mod tests {
         let mut max_err: f64 = 0.0;
         for _ in 0..turns {
             bus.writes.clear();
-            ex.run_iteration(&mut bus, &[]);
+            ex.try_run_iteration(&mut bus, &[]).unwrap();
             let dt_kernel = bus
                 .writes
                 .iter()
@@ -548,7 +548,7 @@ mod tests {
         // bridges before the architectural state is valid.
         let mut restore: Vec<(u16, f64)> = bk.kernel.reg_inits.clone();
         restore.push((dt_reg, dt0));
-        ex.warmup(&mut bus, &[], &restore);
+        ex.try_warmup(&mut bus, &[], &restore).unwrap();
         bus.writes.clear();
         // Track amplitude over one synchrotron period; oscillation must stay
         // bounded (the pipelined kernel's one-iteration-stale voltages are a
@@ -558,7 +558,7 @@ mod tests {
         let mut min_dt: f64 = f64::MAX;
         for _ in 0..turns {
             bus.writes.clear();
-            ex.run_iteration(&mut bus, &[]);
+            ex.try_run_iteration(&mut bus, &[]).unwrap();
             let dt = bus
                 .writes
                 .iter()

@@ -165,6 +165,9 @@ pub struct SimulatorFramework {
     monitor_out: f64,
     /// Initialisation done (first kernel run used as pipeline warm-up).
     warmed_up: bool,
+    /// Scratch for the kernel's output ports; the kernel reports through
+    /// the bus, so the values themselves are unused.
+    kernel_outputs: Vec<(u16, f64)>,
     /// DRAM recording.
     pub records: Vec<RevolutionRecord>,
     recording: bool,
@@ -215,6 +218,7 @@ impl SimulatorFramework {
             monitor_value: 0.0,
             monitor_out: 0.0,
             warmed_up: false,
+            kernel_outputs: Vec::new(),
             records: Vec::new(),
             recording: true,
             revolutions: 0,
@@ -375,13 +379,22 @@ impl SimulatorFramework {
                     }
                 }
             }
-            self.executor.warmup(&mut bus, &[], &restore);
-            self.warmed_up = true;
+            // A faulting kernel skips the revolution like an absent period
+            // does; the warm-up is retried on the next one.
+            if self.executor.try_warmup(&mut bus, &[], &restore).is_ok() {
+                self.warmed_up = true;
+            }
             // Warm-up outputs are not armed.
             return;
         }
 
-        self.executor.run_iteration(&mut bus, &[]);
+        if self
+            .executor
+            .try_run_iteration_into(&mut bus, &[], &mut self.kernel_outputs)
+            .is_err()
+        {
+            return;
+        }
 
         // Arm the Gauss pulses for the next revolution: bunch b sits b RF
         // periods after the crossing, plus its Δt.

@@ -462,8 +462,9 @@ fn split_labels(name: &str) -> (&str, Option<&str>) {
 }
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars) — the
-/// metric names carry embedded `label="value"` quotes.
-fn json_escape(s: &str) -> String {
+/// metric names carry embedded `label="value"` quotes. Returns the body of
+/// the literal, without the surrounding quotes.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for ch in s.chars() {
         match ch {

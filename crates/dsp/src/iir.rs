@@ -2,8 +2,8 @@
 //!
 //! The beam-phase controller's "recursion factor = 0.99" (Section V) is the
 //! pole of a first-order recursive section in the Klingbeil 2007 filter
-//! structure. We provide the leaky integrator, a DC blocker, and a
-//! comb-resonator section — the pieces `cil-core::control` assembles.
+//! structure. We provide the leaky integrator and a DC blocker — the
+//! pieces `cil-core::control` assembles.
 
 /// First-order leaky integrator: `y[n] = r·y[n−1] + (1−r)·x[n]`.
 ///
@@ -97,56 +97,6 @@ impl DcBlocker {
     }
 }
 
-/// Comb resonator `y[n] = x[n] − x[n−N] + r·y[n−N]` — the periodic
-/// pass/notch structure of the GSI beam-phase filter ([8]): notches at DC
-/// and multiples of fs/N, passbands in between.
-#[derive(Debug, Clone)]
-pub struct CombResonator {
-    /// Loop delay N in samples.
-    pub delay: usize,
-    /// Recursion factor r ∈ [0, 1).
-    pub r: f64,
-    x_hist: Vec<f64>,
-    y_hist: Vec<f64>,
-    cursor: usize,
-}
-
-impl CombResonator {
-    /// New comb with delay `n` samples and recursion factor `r`.
-    pub fn new(n: usize, r: f64) -> Self {
-        assert!(n >= 1);
-        assert!((0.0..1.0).contains(&r));
-        Self {
-            delay: n,
-            r,
-            x_hist: vec![0.0; n],
-            y_hist: vec![0.0; n],
-            cursor: 0,
-        }
-    }
-
-    /// Process one sample.
-    #[inline]
-    pub fn push(&mut self, x: f64) -> f64 {
-        let xn = self.x_hist[self.cursor];
-        let yn = self.y_hist[self.cursor];
-        let y = x - xn + self.r * yn;
-        self.x_hist[self.cursor] = x;
-        self.y_hist[self.cursor] = y;
-        self.cursor = (self.cursor + 1) % self.delay;
-        y
-    }
-
-    /// Steady-state amplitude response at normalised frequency `f`.
-    pub fn magnitude_at(&self, f: f64) -> f64 {
-        // H(z) = (1 - z^-N) / (1 - r z^-N)
-        let w = std::f64::consts::TAU * f * self.delay as f64;
-        let num = ((1.0 - w.cos()).powi(2) + w.sin().powi(2)).sqrt();
-        let den = ((1.0 - self.r * w.cos()).powi(2) + (self.r * w.sin()).powi(2)).sqrt();
-        num / den
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,33 +142,6 @@ mod tests {
         assert!(
             (rms - 1.0 / 2.0_f64.sqrt()).abs() < 0.05,
             "AC passed: {rms}"
-        );
-    }
-
-    #[test]
-    fn comb_notches_dc_and_harmonics() {
-        let comb = CombResonator::new(10, 0.9);
-        assert!(comb.magnitude_at(0.0) < 1e-9);
-        assert!(comb.magnitude_at(0.1) < 1e-9, "notch at fs/N");
-        assert!(comb.magnitude_at(0.05) > 1.0, "peak between notches");
-    }
-
-    #[test]
-    fn comb_streaming_matches_analytic() {
-        let mut comb = CombResonator::new(8, 0.8);
-        let f = 1.0 / 16.0; // halfway between notches
-        let n = 4000;
-        let mut out = Vec::new();
-        for i in 0..n {
-            out.push(comb.push((std::f64::consts::TAU * f * i as f64).sin()));
-        }
-        let tail = &out[n / 2..];
-        let rms = (tail.iter().map(|v| v * v).sum::<f64>() / tail.len() as f64).sqrt();
-        let gain = rms * 2.0_f64.sqrt();
-        let expect = comb.magnitude_at(f);
-        assert!(
-            (gain - expect).abs() / expect < 0.02,
-            "gain {gain} vs {expect}"
         );
     }
 

@@ -79,41 +79,6 @@ impl IqDemodulator {
     }
 }
 
-/// Differential phase meter: demodulates two channels at the same frequency
-/// and reports their phase difference — beam vs reference, immune to the
-/// common LO phase.
-#[derive(Debug, Clone)]
-pub struct IqPhaseMeter {
-    a: IqDemodulator,
-    b: IqDemodulator,
-}
-
-impl IqPhaseMeter {
-    /// New meter at `f_hz` (e.g. the gap harmonic) for sample rate `fs_hz`.
-    pub fn new(f_hz: f64, fs_hz: f64, bandwidth_hz: f64) -> Self {
-        Self {
-            a: IqDemodulator::new(f_hz, fs_hz, bandwidth_hz),
-            b: IqDemodulator::new(f_hz, fs_hz, bandwidth_hz),
-        }
-    }
-
-    /// Feed one sample pair (channel A, channel B); returns
-    /// `phase(A) − phase(B)` in degrees, wrapped to ±180°, once settled.
-    #[inline]
-    pub fn push(&mut self, a: f64, b: f64) -> Option<f64> {
-        let pa = self.a.push(a);
-        let pb = self.b.push(b);
-        match (pa, pb) {
-            (Some(x), Some(y)) => {
-                let mut d = x - y;
-                d -= (d / 360.0).round() * 360.0;
-                Some(d)
-            }
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,75 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn differential_meter_ignores_common_phase() {
-        let fs = 250e6;
-        let f = 3.2e6;
-        let mut meter = IqPhaseMeter::new(f, fs, 50e3);
-        let a = tone(f, fs, 40.0, 60_000);
-        let b = tone(f, fs, 10.0, 60_000);
-        let mut last = None;
-        for (x, y) in a.into_iter().zip(b) {
-            if let Some(d) = meter.push(x, y) {
-                last = Some(d);
-            }
-        }
-        let d = last.unwrap();
-        assert!((d - 30.0).abs() < 0.5, "d = {d}");
-    }
-
-    #[test]
-    fn wraps_difference_to_half_turn() {
-        let fs = 250e6;
-        let f = 1.6e6;
-        let mut meter = IqPhaseMeter::new(f, fs, 50e3);
-        let a = tone(f, fs, 170.0, 80_000);
-        let b = tone(f, fs, -170.0, 80_000);
-        let mut last = None;
-        for (x, y) in a.into_iter().zip(b) {
-            if let Some(d) = meter.push(x, y) {
-                last = Some(d);
-            }
-        }
-        // 170 - (-170) = 340 -> wrapped to -20.
-        let d = last.unwrap();
-        assert!((d + 20.0).abs() < 0.5, "d = {d}");
-    }
-
-    #[test]
     fn settling_gate_holds_output() {
         let mut demod = IqDemodulator::new(3.2e6, 250e6, 10e3);
         assert!(!demod.settled());
         assert_eq!(demod.push(1.0), None);
-    }
-
-    #[test]
-    fn tracks_beam_pulse_train_phase() {
-        // The real use: a Gaussian pulse train has a strong component at the
-        // pulse-repetition harmonic; moving the pulses moves that phase.
-        let fs = 250e6;
-        let f_rf = 3.2e6;
-        let period = fs / f_rf; // 78.125 samples
-        let run = |offset: f64| {
-            let mut meter = IqPhaseMeter::new(f_rf, fs, 30e3);
-            let mut last = None;
-            for i in 0..120_000 {
-                let t = i as f64;
-                let nearest = ((t - offset) / period).round() * period + offset;
-                let beam = (-0.5 * ((t - nearest) / 4.0).powi(2)).exp();
-                let reference = (std::f64::consts::TAU * f_rf * t / fs).sin();
-                if let Some(d) = meter.push(beam, reference) {
-                    last = Some(d);
-                }
-            }
-            last.unwrap()
-        };
-        let delta = run(6.0) - run(2.0);
-        // Later pulses lag in phase: delay t0 shifts the fundamental by
-        // −ω·t0, so the difference is negative.
-        let expected = -4.0 / period * 360.0; // 4 samples at the RF harmonic
-        assert!(
-            (delta - expected).abs() < 1.0,
-            "delta {delta} vs {expected}"
-        );
     }
 }

@@ -12,7 +12,6 @@
 //! each model is a small state machine advanced one sample (or one query) at
 //! a time, exactly like the synchronous logic it stands in for.
 
-pub mod cic;
 pub mod converter;
 pub mod dds;
 pub mod fir;

@@ -83,7 +83,7 @@ fn main() {
         let x = if i % 3 == 0 { 2.0 } else { 0.5 };
         bus.set_sensor(0, x);
         bus.writes.clear();
-        ex.run_iteration(&mut bus, &[]);
+        ex.try_run_iteration(&mut bus, &[]).unwrap();
         let smooth = bus.writes.iter().find(|(p, _)| *p == 0).unwrap().1;
         let snr = bus.writes.iter().find(|(p, _)| *p == 1).unwrap().1;
         println!("  in {x:>4}: smooth = {smooth:.4}, snr = {snr:.4}");

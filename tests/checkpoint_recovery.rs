@@ -7,9 +7,9 @@
 //! as an uninterrupted run. A corrupted or truncated newest snapshot is
 //! detected, audited as [`LoopEvent::CheckpointRejected`], and recovery
 //! falls back to the previous good snapshot. The decoder never panics on
-//! hostile bytes, and (release builds) checkpointing at the default cadence
-//! costs ~1.08x wall-clock on a quiet machine, bounded at 1.25x
-//! (`results/BENCH_checkpoint.json`).
+//! hostile bytes. The overhead bound (checkpointing at the default cadence
+//! < 1.25x plain) is the release-only `checkpoint_guard` in
+//! `crates/bench/tests/`.
 
 use cil_core::checkpoint::{
     crc32, decode_snapshot, decode_trace_log, encode_snapshot, CheckpointConfig, CheckpointError,
@@ -725,85 +725,4 @@ proptest! {
             .collect();
         let _ = decode_trace_log(&bytes, 1); // any Result is fine; panics are not
     }
-}
-
-// ---------------------------------------------------------------------------
-// Overhead guard (release only)
-// ---------------------------------------------------------------------------
-
-/// Checkpointing at the default cadence costs ~1.08x wall-clock on a
-/// realistic (multi-particle) workload, bounded at 1.25x to ride out
-/// shared-runner I/O contention. Debug builds skew the
-/// encode/step cost ratio, so the guard is release-only; it emits
-/// `results/BENCH_checkpoint.json` either way it runs.
-#[cfg(not(debug_assertions))]
-#[test]
-fn checkpoint_overhead_bounded() {
-    let mut s = base_scenario(0.02);
-    s.bunches = 1;
-    let kind = EngineKind::RefTrack {
-        particles: 2048,
-        seed: 7,
-    };
-    let rows = s.revolutions();
-    let dir = ckpt_dir("overhead");
-
-    let time_run = |checkpoint: bool| -> f64 {
-        let mut harness = LoopHarness::for_scenario(&s, true);
-        if checkpoint {
-            // Default cadence + retention (CheckpointConfig::new).
-            harness = harness.with_checkpointing(CheckpointConfig::new(dir.clone()));
-        }
-        let t0 = std::time::Instant::now();
-        let trace = harness
-            .run_spec(&s, RunSpec::fresh(&s, kind, s.duration_s).unwrap())
-            .unwrap();
-        let dt = t0.elapsed().as_secs_f64();
-        assert_eq!(trace.times.len(), rows);
-        dt
-    };
-    // Interleave the arms and take the best of each: with ~0.3 s runs the
-    // per-run noise on a shared machine is comparable to the ~8% overhead
-    // being measured, and sequential arms pick up a systematic drift bias
-    // (the later arm runs on a warmer/more-throttled machine). Pairing
-    // disabled/enabled back-to-back exposes both arms to the same drift.
-    // A measurement above the quiet-machine value (~1.08x) is retried up
-    // to twice in the hope of catching a quiet window; the hard bound is
-    // 1.25x, loose enough that shared-runner I/O contention (observed to
-    // push the ratio to ~1.1-1.15x) cannot fail the guard while any real
-    // regression in checkpoint cost still does.
-    let _ = time_run(false); // warmup
-    let _ = time_run(true); // warmup (page-caches the checkpoint dir)
-    let mut disabled = f64::INFINITY;
-    let mut enabled = f64::INFINITY;
-    let mut ratio = f64::INFINITY;
-    let mut pairs = 0;
-    for _attempt in 0..3 {
-        for _ in 0..3 {
-            disabled = disabled.min(time_run(false));
-            enabled = enabled.min(time_run(true));
-            pairs += 1;
-        }
-        ratio = enabled / disabled;
-        if ratio < 1.10 {
-            break;
-        }
-    }
-
-    std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/results")).unwrap();
-    std::fs::write(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/results/BENCH_checkpoint.json"),
-        format!(
-            "{{\"bench\":\"checkpoint_overhead\",\"engine\":\"reftrack2048\",\
-             \"revolutions\":{rows},\"cadence\":256,\"runs\":{pairs},\
-             \"disabled_wall_s\":{disabled},\"enabled_wall_s\":{enabled},\
-             \"ratio\":{ratio},\"bound\":1.25}}\n"
-        ),
-    )
-    .unwrap();
-
-    assert!(
-        ratio < 1.25,
-        "checkpoint overhead {ratio:.3}x (enabled {enabled:.6}s vs disabled {disabled:.6}s)"
-    );
 }

@@ -5,10 +5,10 @@
 //! the trace's event log, exactly and deterministically; (2) kernel-cache
 //! stats are exact on a private cache; (3) merging N per-worker registries
 //! is order-independent and lossless; (4) intervention/demotion metrics
-//! show up nonzero in both Prometheus and JSON exports; (5) enabling
-//! telemetry costs < 10% wall-clock on a 10k-revolution Map run (release
-//! builds; emits `results/BENCH_telemetry.json`); (6) the warmup-step
-//! calibration is recorded and exported without perturbing the run.
+//! show up nonzero in both Prometheus and JSON exports; (5) the
+//! warmup-step calibration is recorded and exported without perturbing
+//! the run. The overhead bound (telemetry on < 1.10x off) is the
+//! release-only `telemetry_guard` in `crates/bench/tests/`.
 //!
 //! Convention under test: metric names containing `wall` are wall-clock
 //! derived and excluded from determinism comparisons; everything else must
@@ -308,74 +308,6 @@ fn calibration_is_recorded_and_exported_without_perturbing_the_run() {
             .iter()
             .any(|e| matches!(e, LoopEvent::EngineDemoted { .. })),
         "measured Map step cost does not demote a healthy loop"
-    );
-}
-
-/// Throughput guard: telemetry on a 10k-revolution Map run must cost less
-/// than 10% wall-clock. Meaningless in debug builds (opt-level 0 swamps the
-/// comparison), so it only runs in release (`--include-ignored` in tier1).
-#[test]
-#[cfg_attr(debug_assertions, ignore)]
-fn telemetry_overhead_within_ten_percent_of_disabled() {
-    let mut s = MdeScenario::nov24_2023();
-    s.duration_s = 10_000.0 / s.f_rev; // ~10k revolutions
-    s.bunches = 1;
-    // The harness's loop condition can land one row either side of
-    // `revolutions()` at an exact boundary; calibrate from a real run.
-    let rows = TurnLevelLoop::new(s.clone(), EngineKind::Map)
-        .run(true)
-        .unwrap()
-        .phase_deg
-        .len() as u64;
-    assert!(
-        (10_000..10_002).contains(&rows),
-        "~10k revolutions, got {rows}"
-    );
-
-    let time_run = |telemetry: bool| {
-        let mut best = f64::INFINITY;
-        for _ in 0..7 {
-            let loop_ = TurnLevelLoop::new(s.clone(), EngineKind::Map);
-            let (loop_, registry) = if telemetry {
-                let reg = TelemetryRegistry::new();
-                (loop_.with_telemetry(&reg), Some(reg))
-            } else {
-                (loop_, None)
-            };
-            let t0 = std::time::Instant::now();
-            let r = loop_.run(true).unwrap();
-            let dt = t0.elapsed().as_secs_f64();
-            assert_eq!(r.phase_deg.len() as u64, rows);
-            if let Some(reg) = registry {
-                assert_eq!(
-                    reg.snapshot().counter("cil_loop_revolutions_total"),
-                    Some(rows)
-                );
-            }
-            best = best.min(dt);
-        }
-        best
-    };
-    // Warmup (page in code, settle the allocator), then measure.
-    let _ = time_run(false);
-    let disabled = time_run(false);
-    let enabled = time_run(true);
-    let ratio = enabled / disabled;
-
-    std::fs::create_dir_all(concat!(env!("CARGO_MANIFEST_DIR"), "/results")).unwrap();
-    std::fs::write(
-        concat!(env!("CARGO_MANIFEST_DIR"), "/results/BENCH_telemetry.json"),
-        format!(
-            "{{\"bench\":\"telemetry_overhead\",\"revolutions\":{rows},\"runs\":7,\
-             \"disabled_wall_s\":{disabled},\"enabled_wall_s\":{enabled},\
-             \"ratio\":{ratio},\"bound\":1.10}}\n"
-        ),
-    )
-    .unwrap();
-
-    assert!(
-        ratio < 1.10,
-        "telemetry overhead {ratio:.3}x (enabled {enabled:.6}s vs disabled {disabled:.6}s)"
     );
 }
 

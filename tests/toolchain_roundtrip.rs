@@ -71,7 +71,7 @@ proptest! {
             let mut bus_b = MapBus::default();
             bus_a.set_sensor(0, sv);
             bus_b.set_sensor(0, sv);
-            let out_a = ex.run_iteration(&mut bus_a, &[]);
+            let out_a = ex.try_run_iteration(&mut bus_a, &[]).unwrap();
             let out_b = interpret_dfg(&kernel.dfg, &mut regs, &mut bus_b, &[]);
             // Exact equality: same operations in dependency order, no
             // reassociation anywhere.
